@@ -193,20 +193,38 @@ Measurement PipelinePoint(const std::string& dataset, int num_tuples,
   config.seed = 1;
   gen::Dataset ds = Generate(dataset, config);
 
-  core::UniCleanOptions options;
-  options.eta = 1.0;
-  options.run_erepair = phases.find('e') != std::string::npos;
-  options.run_hrepair = phases.find('h') != std::string::npos;
-
   data::Relation d = ds.dirty.Clone();
   std::string name = "fig14_" + dataset + "_" + phases + "_n" +
                      std::to_string(num_tuples);
-  return Measure(name, dataset, num_tuples, master_size, phases, num_tuples,
-                 [&]() -> long long {
-                   auto report = core::UniClean(&d, ds.master, ds.rules,
-                                                options);
-                   return report.total_fixes();
-                 });
+  // The engine build is measured with the run: a fig14 point is one
+  // one-shot clean, MD index construction included.
+  return Measure(
+      name, dataset, num_tuples, master_size, phases, num_tuples,
+      [&]() -> long long {
+        auto engine =
+            EngineBuilder()
+                .WithDataSchema(d.schema_ptr())
+                .WithMaster(&ds.master)
+                .WithRules(&ds.rules)
+                .WithEta(1.0)
+                .WithDefaultPhases(
+                    /*crepair=*/true,
+                    /*erepair=*/phases.find('e') != std::string::npos,
+                    /*hrepair=*/phases.find('h') != std::string::npos)
+                .BuildEngine();
+        if (!engine.ok()) {
+          std::fprintf(stderr, "bench_json: engine build failed: %s\n",
+                       engine.status().ToString().c_str());
+          std::exit(2);
+        }
+        auto result = (*engine)->NewSession().Run(&d);
+        if (!result.ok()) {
+          std::fprintf(stderr, "bench_json: clean failed: %s\n",
+                       result.status().ToString().c_str());
+          std::exit(2);
+        }
+        return result->total_fixes();
+      });
 }
 
 /// Builds the shared engine the session/concurrency points run against.
@@ -540,7 +558,6 @@ void SnapshotPoint(const std::string& dataset, int num_tuples,
     warm_s = std::min(warm_s, Now() - t0);
   }
   record(base + "_load", "load", warm_s, -1);
-  record("serve_" + dataset + "_snapshot_start", "warm", warm_s, -1);
   std::printf("%-34s %10.1fx cold/warm startup\n",
               ("snapshot_" + dataset + "_speedup").c_str(), cold_s / warm_s);
   std::remove(path.c_str());

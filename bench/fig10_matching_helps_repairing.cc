@@ -1,6 +1,6 @@
 // Figure 10 (Exp-1, "matching helps repairing"): repair F-measure of
-//   Uni       — UniClean with CFDs + MDs (all three phases),
-//   Uni(CFD)  — UniClean with CFDs only,
+//   Uni       — the full pipeline with CFDs + MDs (all three phases),
+//   Uni(CFD)  — the same pipeline with CFDs only,
 //   quaid     — the heuristic CFD-only repairing baseline,
 // on HOSP (10a) and DBLP (10b), with dup% = 40 and noi% in {2,4,6,8,10}.
 
@@ -8,6 +8,7 @@
 
 #include "baselines/quaid.h"
 #include "bench_util.h"
+#include "common/check.h"
 #include "eval/metrics.h"
 #include "gen/dataset.h"
 #include "uniclean/uniclean.h"
@@ -15,6 +16,21 @@
 using namespace uniclean;  // NOLINT
 
 namespace {
+
+/// Cleans `d` in place through a fresh engine over (master, rules).
+void Clean(data::Relation* d, const data::Relation& master,
+           const rules::RuleSet& rules) {
+  auto engine = EngineBuilder()
+                    .WithDataSchema(d->schema_ptr())
+                    .WithMaster(&master)
+                    .WithRules(&rules)
+                    .WithEta(1.0)  // §8's confidence threshold
+                    .WithDelta2(0.8)
+                    .BuildEngine();
+  UC_CHECK(engine.ok()) << engine.status().ToString();
+  auto result = (*engine)->NewSession().Run(d);
+  UC_CHECK(result.ok()) << result.status().ToString();
+}
 
 void RunSeries(const char* figure, gen::Dataset (*generate)(
                                        const gen::GeneratorConfig&)) {
@@ -30,12 +46,8 @@ void RunSeries(const char* figure, gen::Dataset (*generate)(
     config.seed = 100 + static_cast<uint64_t>(noi);
     gen::Dataset ds = generate(config);
 
-    core::UniCleanOptions options;
-    options.eta = 1.0;  // §8's confidence threshold
-    options.delta2 = 0.8;
-
     data::Relation uni = ds.dirty.Clone();
-    core::UniClean(&uni, ds.master, ds.rules, options);
+    Clean(&uni, ds.master, ds.rules);
     double uni_f = eval::RepairAccuracy(ds.dirty, uni, ds.clean).F();
 
     // Uni(CFD): same pipeline, CFDs only.
@@ -43,7 +55,7 @@ void RunSeries(const char* figure, gen::Dataset (*generate)(
                                          ds.rules.master_schema_ptr(),
                                          ds.rules.cfds(), {});
     data::Relation uni_cfd = ds.dirty.Clone();
-    core::UniClean(&uni_cfd, ds.master, cfd_only.value(), options);
+    Clean(&uni_cfd, ds.master, cfd_only.value());
     double cfd_f = eval::RepairAccuracy(ds.dirty, uni_cfd, ds.clean).F();
 
     data::Relation quaid_out = ds.dirty.Clone();

@@ -9,6 +9,7 @@
 
 #include "baselines/sortn.h"
 #include "bench_util.h"
+#include "common/check.h"
 #include "eval/metrics.h"
 #include "gen/dataset.h"
 #include "uniclean/uniclean.h"
@@ -44,12 +45,18 @@ void RunSeries(const char* figure, gen::Dataset (*generate)(
 
     // Uni's matches are the (t, s) pairs whose MD premise held while the
     // cleaning rules were applied — matching and repairing interleaved.
-    core::UniCleanOptions options;
-    options.eta = 1.0;
+    auto engine = EngineBuilder()
+                      .WithDataSchema(ds.dirty.schema_ptr())
+                      .WithMaster(&ds.master)
+                      .WithRules(&ds.rules)
+                      .WithEta(1.0)
+                      .BuildEngine();
+    UC_CHECK(engine.ok()) << engine.status().ToString();
     data::Relation cleaned = ds.dirty.Clone();
-    auto report = core::UniClean(&cleaned, ds.master, ds.rules, options);
+    auto result = (*engine)->NewSession().Run(&cleaned);
+    UC_CHECK(result.ok()) << result.status().ToString();
     double uni_f =
-        eval::MatchAccuracy(report.AllMatches(), ds.true_matches).F() * 100.0;
+        eval::MatchAccuracy(result->AllMatches(), ds.true_matches).F() * 100.0;
 
     std::printf("%8d %12.1f %12.1f\n", noi, uni_f, sortn_f);
   }

@@ -95,7 +95,7 @@ class MdMatcher {
 
   /// Process-wide count of MdMatcher constructions (each construction pays
   /// the full index-build cost). Tests assert index sharing with it: a warm
-  /// Cleaner re-run must not move this counter.
+  /// Session re-run on the same engine must not move this counter.
   static uint64_t ConstructedCount();
 
   /// Master tuples covered by the indexes: dm.size() at construction and

@@ -150,6 +150,8 @@ struct Daemon::Work {
   std::string ruleset;
   /// Response bytes written for this request (request-log field).
   uint64_t bytes_out = 0;
+  /// When the latency sample was recorded (0 = not yet).
+  uint64_t done_us = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -539,9 +541,7 @@ void Daemon::Dispatch(Work& work) {
           std::shared_ptr<CleanEngine> engine = entry->Get();
           PutU64(&body, engine != nullptr ? engine->Fingerprint() : 0);
         }
-        std::lock_guard<std::mutex> lock(conn.write_mu);
-        status = conn.channel.WriteFrame(work.frame.tag, Op::kPong, body);
-        work.bytes_out += body.size();
+        status = WriteReply(work, Op::kPong, body);
         break;
       }
       case Op::kClean:
@@ -563,6 +563,9 @@ void Daemon::Dispatch(Work& work) {
         status = Status::Internal("unreachable: non-request op dispatched");
     }
   }
+  // A no-op when the handler already replied; error replies and requests
+  // whose client is gone are sampled here.
+  RecordLatency(work);
   if (!status.ok()) {
     metrics.errors.fetch_add(1, std::memory_order_relaxed);
     if (status.code() == StatusCode::kCancelled) {
@@ -587,9 +590,21 @@ void Daemon::Dispatch(Work& work) {
     }
   }
   UnregisterToken(conn.id, work.frame.tag);
-  const uint64_t now = NowUs();
-  metrics.latency_us.Record(now - work.enqueue_us);
-  LogRequest(work, now - work.dequeue_us, status);
+  LogRequest(work, work.done_us - work.dequeue_us, status);
+}
+
+Status Daemon::WriteReply(Work& work, Op op, const std::string& body) {
+  RecordLatency(work);
+  work.bytes_out += body.size();
+  std::lock_guard<std::mutex> lock(work.conn->write_mu);
+  return work.conn->channel.WriteFrame(work.frame.tag, op, body);
+}
+
+void Daemon::RecordLatency(Work& work) {
+  if (work.done_us != 0) return;
+  work.done_us = NowUs();
+  op_metrics_[static_cast<int>(work.frame.op)].latency_us.Record(
+      work.done_us - work.enqueue_us);
 }
 
 Result<Daemon::EngineEntry*> Daemon::FindRuleset(const std::string& name) {
@@ -727,9 +742,7 @@ Status Daemon::HandleClean(Work& work) {
   PutU32(&done, static_cast<uint32_t>(result->total_fixes()));
   PutU32(&done, static_cast<uint32_t>(result->journal.size()));
   PutLp(&done, summary);
-  work.bytes_out += done.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(frame.tag, Op::kCleanDone, done);
+  return WriteReply(work, Op::kCleanDone, done);
 }
 
 Status Daemon::HandleDelta(Work& work) {
@@ -811,21 +824,14 @@ Status Daemon::HandleDelta(Work& work) {
   PutU32(&done, static_cast<uint32_t>(dr->refinement_rounds));
   PutU32(&done, static_cast<uint32_t>(dr->total_fixes()));
   PutLp(&done, inserted_ids);
-  work.bytes_out += done.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(frame.tag, Op::kDeltaDone, done);
+  return WriteReply(work, Op::kDeltaDone, done);
 }
 
 Status Daemon::HandleStats(Work& work) {
-  Conn& conn = *work.conn;
-  const std::string json = StatsJson();
-  work.bytes_out += json.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(work.frame.tag, Op::kStatsReply, json);
+  return WriteReply(work, Op::kStatsReply, StatsJson());
 }
 
 Status Daemon::HandleReload(Work& work) {
-  Conn& conn = *work.conn;
   const Frame& frame = work.frame;
   BodyReader body(frame.body);
   UC_ASSIGN_OR_RETURN(std::string name, body.Lp());
@@ -861,9 +867,7 @@ Status Daemon::HandleReload(Work& work) {
   }
   std::string ok_body;
   PutLp(&ok_body, message);
-  work.bytes_out += ok_body.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(frame.tag, Op::kOk, ok_body);
+  return WriteReply(work, Op::kOk, ok_body);
 }
 
 Status Daemon::HandleCloseSession(Work& work) {
@@ -881,9 +885,7 @@ Status Daemon::HandleCloseSession(Work& work) {
   sessions_open_.fetch_sub(1, std::memory_order_relaxed);
   std::string ok_body;
   PutLp(&ok_body, "session " + std::to_string(session_id) + " closed");
-  work.bytes_out += ok_body.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(frame.tag, Op::kOk, ok_body);
+  return WriteReply(work, Op::kOk, ok_body);
 }
 
 void Daemon::HandleCancelInline(Conn& conn, const Frame& frame) {
@@ -911,13 +913,12 @@ void Daemon::HandleCancelInline(Conn& conn, const Frame& frame) {
   std::string ok_body;
   PutLp(&ok_body, "tag " + std::to_string(target.value()) +
                       (found ? " cancelled" : " not in flight"));
-  {
-    std::lock_guard<std::mutex> lock(conn.write_mu);
-    if (!conn.channel.WriteFrame(frame.tag, Op::kOk, ok_body).ok()) {
-      metrics.errors.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  // Sampled before the reply goes out, as WriteReply does.
   metrics.latency_us.Record(NowUs() - t0);
+  std::lock_guard<std::mutex> lock(conn.write_mu);
+  if (!conn.channel.WriteFrame(frame.tag, Op::kOk, ok_body).ok()) {
+    metrics.errors.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 // ---------------------------------------------------------------------------

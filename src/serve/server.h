@@ -228,6 +228,12 @@ class Daemon {
 
   /// Streams `text` as chunked frames of `op` under the request's tag.
   Status StreamChunks(Work& work, Op op, const std::string& text);
+  /// Writes the request's terminal frame, recording its latency sample
+  /// first: once a client holds its reply, every STATS it reads must
+  /// include that reply's sample.
+  Status WriteReply(Work& work, Op op, const std::string& body);
+  /// Records the request's latency sample; later calls are no-ops.
+  void RecordLatency(Work& work);
   /// `retry_after_ms` rides the kError trailer (0 = no hint).
   Status WriteError(Conn& conn, uint32_t tag, const Status& error,
                     uint32_t retry_after_ms = 0);

@@ -1,8 +1,7 @@
 // The three built-in phases of the paper's Fig. 2 pipeline, wrapped as
 // Phase implementations. Each forwards the PipelineContext thresholds to
-// its core engine, journals every fix with the justifying rule, and keeps
-// the engine's typed statistics readable after the run (the legacy
-// core::UniClean shim assembles its UniCleanReport from them).
+// its core engine, journals every fix with the justifying rule, and reports
+// the engine's statistics as PhaseStats counters.
 
 #ifndef UNICLEAN_UNICLEAN_BUILTIN_PHASES_H_
 #define UNICLEAN_UNICLEAN_BUILTIN_PHASES_H_
@@ -24,11 +23,6 @@ class CRepairPhase : public Phase {
   static constexpr std::string_view kName = "cRepair";
   std::string_view name() const override { return kName; }
   Result<PhaseStats> Run(PipelineContext* ctx) override;
-  /// Engine statistics of the most recent Run().
-  const core::CRepairStats& stats() const { return stats_; }
-
- private:
-  core::CRepairStats stats_;
 };
 
 /// Reliable fixes with information entropy (§6).
@@ -37,10 +31,6 @@ class ERepairPhase : public Phase {
   static constexpr std::string_view kName = "eRepair";
   std::string_view name() const override { return kName; }
   Result<PhaseStats> Run(PipelineContext* ctx) override;
-  const core::ERepairStats& stats() const { return stats_; }
-
- private:
-  core::ERepairStats stats_;
 };
 
 /// Heuristic possible fixes yielding a consistent repair (§7).
@@ -49,19 +39,10 @@ class HRepairPhase : public Phase {
   static constexpr std::string_view kName = "hRepair";
   std::string_view name() const override { return kName; }
   Result<PhaseStats> Run(PipelineContext* ctx) override;
-  const core::HRepairStats& stats() const { return stats_; }
-
- private:
-  core::HRepairStats stats_;
 };
 
-/// The default pipeline: the selected subset of cRepair → eRepair → hRepair
-/// in paper order.
-std::vector<std::unique_ptr<Phase>> MakeDefaultPhases(bool crepair = true,
-                                                      bool erepair = true,
-                                                      bool hrepair = true);
-
-/// The same default pipeline as per-session factories — what a CleanEngine
+/// The default pipeline — the selected subset of cRepair → eRepair →
+/// hRepair in paper order — as per-session factories: what a CleanEngine
 /// stores so every NewSession() gets fresh phase instances.
 std::vector<PhaseFactory> MakeDefaultPhaseFactories(bool crepair = true,
                                                     bool erepair = true,

@@ -27,9 +27,9 @@
 // results. RunBatch() packages that: a worker pool of sessions over a batch
 // of relations.
 //
-// The historic single-session façade, uniclean::Cleaner (cleaner.h), is now
-// a thin shim over CleanEngine + Session and remains the convenient choice
-// for one-shot cleaning; CleanerBuilder is an alias of EngineBuilder.
+// Builder → engine → session is the library's one public path, for one-shot
+// scripts as much as for servers: a one-shot clean is a BuildEngine() plus a
+// single NewSession().Run(&d).
 
 #ifndef UNICLEAN_UNICLEAN_ENGINE_H_
 #define UNICLEAN_UNICLEAN_ENGINE_H_
@@ -48,8 +48,6 @@
 #include "uniclean/session.h"
 
 namespace uniclean {
-
-class Cleaner;
 
 /// The shared, immutable cleaning engine. Created only via
 /// EngineBuilder::BuildEngine() (always behind a shared_ptr — sessions keep
@@ -156,28 +154,18 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   double snapshot_load_s_ = 0.0;
 };
 
-/// Fluent single-use builder for CleanEngine (and the Cleaner shim — the
-/// historic name CleanerBuilder aliases this class). Every setter
-/// overwrites earlier configuration of the same slot; BuildEngine()/Build()
+/// Fluent single-use builder for CleanEngine. Every setter overwrites
+/// earlier configuration of the same slot; BuildEngine()/FromSnapshot()
 /// move the configuration out.
 class EngineBuilder {
  public:
   EngineBuilder() = default;
 
   // --- data relation D -----------------------------------------------------
-  // Engine builds need the data relation only to resolve the rule text's
-  // data schema (or not at all — see WithDataSchema); Build() additionally
-  // loads it as the Cleaner's session data.
-  /// Takes ownership of an in-memory relation.
-  EngineBuilder& WithData(data::Relation data);
-  /// Cleans a caller-owned relation in place (must outlive the Cleaner).
-  EngineBuilder& WithData(data::Relation* data);
-  /// Loads D from a CSV file at Build(); the schema is inferred from the
-  /// header row.
-  EngineBuilder& WithDataCsv(std::string path);
-  /// Declares the data schema without binding any data — the engine-only
-  /// path for parsing WithRuleText/WithRulesFile programs when the dirty
-  /// relations only arrive later, per Session::Run.
+  /// Declares the data schema. An engine binds no data — the dirty
+  /// relations arrive per Session::Run — but WithRuleText/WithRulesFile
+  /// programs parse against this schema, and every build checks it against
+  /// the rule set's data schema.
   EngineBuilder& WithDataSchema(data::SchemaPtr schema);
 
   // --- master relation Dm --------------------------------------------------
@@ -196,13 +184,6 @@ class EngineBuilder {
   /// Like WithRuleText, reading the program from a file at build.
   EngineBuilder& WithRulesFile(std::string path);
 
-  // --- per-cell confidences ------------------------------------------------
-  /// CSV with the same shape as D holding confidences in [0, 1]; applied to
-  /// the data relation at Build(). Build()-only — an engine binds no data,
-  /// so BuildEngine() rejects it; apply confidences per relation with
-  /// data::ReadConfidenceCsvFile before Session::Run.
-  EngineBuilder& WithConfidenceCsv(std::string path);
-
   // --- thresholds ----------------------------------------------------------
   EngineBuilder& WithEta(double eta);
   EngineBuilder& WithDelta1(int delta1);
@@ -219,21 +200,11 @@ class EngineBuilder {
   EngineBuilder& WithPhaseFactories(std::vector<PhaseFactory> factories);
   /// Appends a per-session phase factory after the current pipeline.
   EngineBuilder& AddPhaseFactory(PhaseFactory factory);
-  /// Replaces the pipeline with concrete single-session phase instances.
-  /// Build()-only: BuildEngine() rejects instance phases (an engine must be
-  /// able to stamp out any number of sessions) — use WithPhaseFactories.
-  EngineBuilder& WithPhases(std::vector<std::unique_ptr<Phase>> phases);
-  /// Appends a concrete phase (Build()-only, like WithPhases).
-  EngineBuilder& AddPhase(std::unique_ptr<Phase> phase);
 
   // --- diagnostics ---------------------------------------------------------
   /// Verifies at build that the rules are consistent (§4.1); an
   /// inconsistent Θ fails the build.
   EngineBuilder& CheckConsistency(bool check = true);
-  /// Observer installed on the Cleaner's session by Build(). Per-session
-  /// state: BuildEngine() rejects it — engine sessions set their own via
-  /// Session::set_progress_callback.
-  EngineBuilder& WithProgressCallback(ProgressCallback callback);
 
   /// Validates the configuration and assembles the shared engine. Returns
   /// Status::InvalidArgument on bad configuration; I/O and parse failures
@@ -255,23 +226,9 @@ class EngineBuilder {
   /// uniclean::snapshot to use it.
   Result<std::shared_ptr<CleanEngine>> FromSnapshot(const std::string& path);
 
-  /// Validates the configuration and assembles the single-session Cleaner
-  /// shim (engine + one session + the bound data relation). Defined with
-  /// Cleaner in cleaner.h/.cc.
-  Result<Cleaner> Build();
-
  private:
   Status ValidateThresholds() const;
 
-  /// Shared validation: thresholds, master, rules, consistency, factories.
-  /// `data_schema` is the resolved data schema when the caller already
-  /// loaded data, or null to resolve from WithDataSchema / the rules.
-  Result<std::shared_ptr<CleanEngine>> BuildEngineInternal(
-      data::SchemaPtr data_schema);
-
-  std::unique_ptr<data::Relation> data_owned_;
-  data::Relation* data_ptr_ = nullptr;
-  std::string data_csv_;
   data::SchemaPtr data_schema_;
 
   std::unique_ptr<data::Relation> master_owned_;
@@ -283,20 +240,14 @@ class EngineBuilder {
   std::string rule_text_;
   std::string rules_file_;
 
-  std::string confidence_csv_;
-
   PipelineConfig config_;
   bool run_crepair_ = true;
   bool run_erepair_ = true;
   bool run_hrepair_ = true;
-  bool custom_pipeline_ = false;
   bool factory_pipeline_ = false;
-  std::vector<std::unique_ptr<Phase>> pipeline_;
-  std::vector<std::unique_ptr<Phase>> extra_phases_;
   std::vector<PhaseFactory> factories_;
   std::vector<PhaseFactory> extra_factories_;
   bool check_consistency_ = false;
-  ProgressCallback progress_;
 };
 
 }  // namespace uniclean

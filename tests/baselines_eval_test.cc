@@ -2,11 +2,12 @@
 
 #include "baselines/quaid.h"
 #include "baselines/sortn.h"
-#include "core/uniclean.h"
+#include "common/check.h"
 #include "eval/metrics.h"
 #include "gen/dataset.h"
 #include "paper_example.h"
 #include "rules/violation.h"
+#include "uniclean/engine.h"
 
 namespace uniclean {
 namespace {
@@ -20,6 +21,20 @@ gen::GeneratorConfig SmallConfig() {
   config.master_size = 150;
   config.seed = 7;
   return config;
+}
+
+/// Cleans `*d` in place through a fresh engine over (dm, rs) and one session.
+void Clean(Relation* d, const Relation& dm, const rules::RuleSet& rs,
+           double eta = 0.8) {
+  auto engine = EngineBuilder()
+                    .WithDataSchema(d->schema_ptr())
+                    .WithMaster(&dm)
+                    .WithRules(&rs)
+                    .WithEta(eta)
+                    .BuildEngine();
+  UC_CHECK(engine.ok()) << engine.status().ToString();
+  auto result = (*engine)->NewSession().Run(d);
+  UC_CHECK(result.ok()) << result.status().ToString();
 }
 
 TEST(QuaidTest, RepairsCfdViolationsWithoutMds) {
@@ -78,7 +93,7 @@ TEST(SortNTest, MissesMatchesWhoseDirtyKeysSortApart) {
   ASSERT_TRUE(parsed.ok());
   auto before = baselines::SortedNeighborhoodMatch(d, dm, parsed->mds, {});
   EXPECT_TRUE(before.empty());
-  core::UniClean(&d, dm, rs, {});
+  Clean(&d, dm, rs);
   auto after = baselines::FindAllMatches(d, dm, parsed->mds);
   EXPECT_GE(after.size(), 3u);  // t1-s1, t3-s2, t4-s2
 }
@@ -120,11 +135,8 @@ TEST(IntegrationTest, UniBeatsQuaidOnHosp) {
   // The headline claim (Exp-1): unifying matching and repairing beats
   // CFD-only repairing in F-measure.
   gen::Dataset ds = gen::GenerateHosp(SmallConfig());
-  core::UniCleanOptions opts;
-  opts.eta = 1.0;  // the paper's experimental confidence threshold
-
   Relation uni = ds.dirty.Clone();
-  core::UniClean(&uni, ds.master, ds.rules, opts);
+  Clean(&uni, ds.master, ds.rules, /*eta=*/1.0);  // §8's threshold
   auto uni_pr = eval::RepairAccuracy(ds.dirty, uni, ds.clean);
 
   Relation quaid = ds.dirty.Clone();
@@ -142,9 +154,6 @@ TEST(IntegrationTest, UniFindsMoreMatchesThanSortNOnDblp) {
   gen::GeneratorConfig config = SmallConfig();
   config.noise_rate = 0.10;
   gen::Dataset ds = gen::GenerateDblp(config);
-  core::UniCleanOptions opts;
-  opts.eta = 1.0;
-
   baselines::SortNOptions sortn_opts;
   sortn_opts.window = 3;
   auto sortn = baselines::SortedNeighborhoodMatch(
@@ -152,7 +161,7 @@ TEST(IntegrationTest, UniFindsMoreMatchesThanSortNOnDblp) {
   auto sortn_pr = eval::MatchAccuracy(sortn, ds.true_matches);
 
   Relation cleaned = ds.dirty.Clone();
-  core::UniClean(&cleaned, ds.master, ds.rules, opts);
+  Clean(&cleaned, ds.master, ds.rules, /*eta=*/1.0);
   auto uni = baselines::FindAllMatches(cleaned, ds.master, ds.rules.mds());
   auto uni_pr = eval::MatchAccuracy(uni, ds.true_matches);
 

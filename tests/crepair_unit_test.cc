@@ -26,13 +26,12 @@ rules::RuleSet MakeRules(const std::string& text, SchemaPtr schema,
   return std::move(rs).value();
 }
 
-// Test-local shim with the historic (d, dm, ruleset, options) signature: a
-// throwaway MatchEnvironment per call, replacing the retired env-less entry
-// point.
+// Test-local runner with a (d, dm, ruleset, options) signature: a
+// throwaway MatchEnvironment per call keeps the tests below terse.
 CRepairStats TestCRepair(Relation* d, const Relation& dm,
                      const rules::RuleSet& ruleset,
                      const CRepairOptions& options = {}) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
+  MatchEnvironment env(ruleset, dm);
   return core::CRepair(d, env, options);
 }
 

@@ -5,12 +5,14 @@
 //     journals and repaired relations byte-identical to a serial baseline
 //     on a fresh engine — the shared sharded memos may not change outcomes.
 //     This suite is the ThreadSanitizer target in CI (UNICLEAN_TSAN).
-//  2. Shim parity: the Cleaner façade is a thin wrapper over
-//     CleanEngine + Session; both paths must produce identical journals.
+//  2. Core-call parity: direct core::CRepair -> ERepair -> HRepair calls on
+//     the engine's shared environment, racing sessions of the same engine,
+//     repair exactly as the sessions do.
 //  3. Memo capping: MdMatcherOptions::memo_capacity bounds resident memo
 //     entries (admission-controlled eviction), counts evictions, and never
 //     changes results.
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <sstream>
@@ -20,10 +22,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/crepair.h"
+#include "core/erepair.h"
+#include "core/hrepair.h"
 #include "data/string_pool.h"
 #include "gen/dataset.h"
 #include "uniclean/builtin_phases.h"
-#include "uniclean/cleaner.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
@@ -183,30 +187,64 @@ TEST_P(EngineConcurrency, RawThreadedSessionsMatchSerialBaseline) {
   }
 }
 
-TEST_P(EngineConcurrency, CleanerShimMatchesEngineSession) {
+TEST_P(EngineConcurrency, CoreCallsOnEngineEnvironmentMatchSessions) {
   gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/31);
-
-  data::Relation shim_data = ds.dirty.Clone();
-  auto cleaner = CleanerBuilder()
-                     .WithData(&shim_data)
-                     .WithMaster(&ds.master)
-                     .WithRules(&ds.rules)
-                     .WithEta(1.0)
-                     .Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
-  auto shim_result = cleaner->Run();
-  ASSERT_TRUE(shim_result.ok()) << shim_result.status().ToString();
-
-  data::Relation engine_data = ds.dirty.Clone();
   std::shared_ptr<CleanEngine> engine = MakeEngine(ds);
-  Session session = engine->NewSession();
-  auto engine_result = session.Run(&engine_data);
-  ASSERT_TRUE(engine_result.ok()) << engine_result.status().ToString();
+  const core::MatchEnvironment& env = engine->environment();
 
-  EXPECT_TRUE(Materialize(shim_result->journal, shim_data) ==
-              Materialize(engine_result->journal, engine_data))
-      << "Cleaner shim diverged from Engine+Session";
-  EXPECT_EQ(shim_result->total_fixes(), engine_result->total_fixes());
+  // Even threads run sessions, odd threads call the three repair engines
+  // directly on the engine's environment; all at once, each over its own
+  // copy of the dirty relation.
+  using Matches = std::vector<std::pair<data::TupleId, data::TupleId>>;
+  constexpr size_t kThreads = 4;
+  std::vector<data::Relation> relations;
+  for (size_t i = 0; i < kThreads; ++i) relations.push_back(ds.dirty.Clone());
+  std::vector<std::vector<int>> fixes(kThreads);
+  std::vector<Matches> matches(kThreads);
+  std::vector<Status> statuses(kThreads, Status::OK());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      data::Relation* d = &relations[i];
+      if (i % 2 == 0) {
+        auto result = engine->NewSession().Run(d);
+        if (!result.ok()) {
+          statuses[i] = result.status();
+          return;
+        }
+        for (const PhaseStats& phase : result->phases) {
+          fixes[i].push_back(phase.fixes);
+        }
+        matches[i] = result->AllMatches();
+        return;
+      }
+      core::CRepairOptions copts;
+      copts.eta = 1.0;
+      const core::CRepairStats c = core::CRepair(d, env, copts);
+      core::ERepairOptions eopts;
+      eopts.eta = 1.0;
+      const core::ERepairStats e = core::ERepair(d, env, eopts);
+      const core::HRepairStats h = core::HRepair(d, env, {});
+      fixes[i] = {c.deterministic_fixes, e.reliable_fixes, h.possible_fixes};
+      for (const Matches* m : {&c.md_matches, &e.md_matches, &h.md_matches}) {
+        matches[i].insert(matches[i].end(), m->begin(), m->end());
+      }
+      std::sort(matches[i].begin(), matches[i].end());
+      matches[i].erase(std::unique(matches[i].begin(), matches[i].end()),
+                       matches[i].end());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (size_t i = 0; i < kThreads; ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+    EXPECT_EQ(relations[i].CellDiffCount(relations[0]), 0)
+        << "thread " << i << " repaired differently";
+    EXPECT_EQ(fixes[i], fixes[0]) << "thread " << i;
+    EXPECT_EQ(matches[i], matches[0]) << "thread " << i;
+  }
+  ASSERT_EQ(fixes[0].size(), 3u);
+  EXPECT_GT(fixes[0][0] + fixes[0][1] + fixes[0][2], 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, EngineConcurrency,
@@ -315,70 +353,6 @@ TEST(MemoStatsTest, WarmRerunHitsWithoutGrowing) {
   EXPECT_EQ(warm.entries, cold.entries)
       << "a warm rerun of identical data minted new memo entries";
   EXPECT_GT(warm.hits, cold.hits);
-}
-
-TEST(EngineBuilderTest, RejectsInstancePhasesForEngines) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/53);
-  auto engine = EngineBuilder()
-                    .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(&ds.master)
-                    .WithRules(&ds.rules)
-                    .WithPhases(MakeDefaultPhases())
-                    .BuildEngine();
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EngineBuilderTest, RejectsProgressCallbackForEngines) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/53);
-  auto engine = EngineBuilder()
-                    .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(&ds.master)
-                    .WithRules(&ds.rules)
-                    .WithProgressCallback([](const PhaseEvent&) {})
-                    .BuildEngine();
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EngineBuilderTest, RejectsConfidenceCsvForEngines) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/53);
-  auto engine = EngineBuilder()
-                    .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(&ds.master)
-                    .WithRules(&ds.rules)
-                    .WithConfidenceCsv("conf.csv")
-                    .BuildEngine();
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EngineBuilderTest, CleanerHidesEngineWhenBuiltFromInstancePhases) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/53);
-  data::Relation d1 = ds.dirty.Clone();
-  auto factory_cleaner = CleanerBuilder()
-                             .WithData(&d1)
-                             .WithMaster(&ds.master)
-                             .WithRules(&ds.rules)
-                             .Build();
-  ASSERT_TRUE(factory_cleaner.ok());
-  EXPECT_NE(factory_cleaner->engine(), nullptr);
-
-  // Instance phases bind only to the shim's session; the engine's factories
-  // would stamp a *different* (default) pipeline, so it must not leak out.
-  data::Relation d2 = ds.dirty.Clone();
-  auto instance_cleaner = CleanerBuilder()
-                              .WithData(&d2)
-                              .WithMaster(&ds.master)
-                              .WithRules(&ds.rules)
-                              .WithPhases(MakeDefaultPhases(
-                                  /*crepair=*/true, /*erepair=*/false,
-                                  /*hrepair=*/false))
-                              .Build();
-  ASSERT_TRUE(instance_cleaner.ok());
-  EXPECT_EQ(instance_cleaner->engine(), nullptr);
-  EXPECT_EQ(instance_cleaner->PhaseNames(),
-            std::vector<std::string>{"cRepair"});
 }
 
 TEST(EngineBuilderTest, RuleTextWithoutSchemaFailsEngineBuild) {

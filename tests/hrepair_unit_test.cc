@@ -38,13 +38,12 @@ void AddRow(Relation* d, const std::vector<std::string>& values,
   d->AddTuple(std::move(t));
 }
 
-// Test-local shim with the historic (d, dm, ruleset, options) signature: a
-// throwaway MatchEnvironment per call, replacing the retired env-less entry
-// point.
+// Test-local runner with a (d, dm, ruleset, options) signature: a
+// throwaway MatchEnvironment per call keeps the tests below terse.
 HRepairStats TestHRepair(Relation* d, const Relation& dm,
                      const rules::RuleSet& ruleset,
                      const HRepairOptions& options = {}) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
+  MatchEnvironment env(ruleset, dm);
   return core::HRepair(d, env, options);
 }
 

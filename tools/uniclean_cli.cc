@@ -204,8 +204,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
 }
 
 int Run(const CliOptions& opts) {
-  // Load the data relation here (not via WithDataCsv) so the original is
-  // available for the repair-cost summary.
+  // Keep the loaded original: the repair-cost summary compares against it.
   auto schema = data::InferCsvSchema(opts.data_path, "data");
   if (!schema.ok()) {
     std::fprintf(stderr, "%s\n", schema.status().ToString().c_str());
