@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/latency_histogram.h"
+#include "common/string_util.h"
 
 namespace uniclean {
 namespace cluster {
@@ -341,9 +342,10 @@ Result<std::string> ClusterClient::Stats() {
   for (size_t i = 0; i < replicas.size(); ++i) {
     const PerReplica& pr = replicas[i];
     if (i > 0) out += ',';
-    out += "\n    {\"name\": \"" + pr.name + "\", \"health\": \"" +
-           HealthName(pr.health) + "\", \"responding\": " +
-           (pr.json.empty() ? "false" : "true") + ", \"stats\": ";
+    out += "\n    {\"name\": \"" + JsonEscape(pr.name) +
+           "\", \"health\": \"" + HealthName(pr.health) +
+           "\", \"responding\": " + (pr.json.empty() ? "false" : "true") +
+           ", \"stats\": ";
     if (pr.json.empty()) {
       out += "null";
     } else {

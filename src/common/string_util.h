@@ -25,6 +25,11 @@ std::string ToLower(std::string_view s);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+/// Escapes `s` for use inside a JSON string literal: quote, backslash and
+/// every control byte below 0x20 (\n, \r, \t by name, the rest as \u00XX).
+/// Bytes from 0x20 up pass through unchanged.
+std::string JsonEscape(std::string_view s);
+
 }  // namespace uniclean
 
 #endif  // UNICLEAN_COMMON_STRING_UTIL_H_

@@ -89,6 +89,25 @@ class CsvScanner {
   bool field_empty_ = true;
 };
 
+/// Compares a header record with the schema's attribute names; returns ""
+/// when they match, otherwise what differs.
+template <typename Field>
+std::string HeaderMismatch(const std::vector<Field>& fields,
+                           const Schema& schema) {
+  if (static_cast<int>(fields.size()) != schema.arity()) {
+    return "header arity mismatch: got " + std::to_string(fields.size()) +
+           " columns, schema has " + std::to_string(schema.arity());
+  }
+  for (int a = 0; a < schema.arity(); ++a) {
+    if (fields[static_cast<size_t>(a)] != schema.attribute_name(a)) {
+      return "header mismatch at column " + std::to_string(a) +
+             ": expected '" + schema.attribute_name(a) + "', got '" +
+             std::string(fields[static_cast<size_t>(a)]) + "'";
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 bool ReadCsvRecord(std::istream& in, std::string* record, int* lines_read,
@@ -212,29 +231,32 @@ Result<Relation> ReadCsv(std::istream& in, SchemaPtr schema,
     }
     if (options.header && !saw_header) {
       saw_header = true;
-      if (static_cast<int>(fields.size()) != schema->arity()) {
-        return Status::Corruption("CSV header arity mismatch");
-      }
-      for (int a = 0; a < schema->arity(); ++a) {
-        if (fields[static_cast<size_t>(a)] != schema->attribute_name(a)) {
-          return Status::Corruption(
-              "CSV header mismatch at column " + std::to_string(a) +
-              ": expected '" + schema->attribute_name(a) + "', got '" +
-              std::string(fields[static_cast<size_t>(a)]) + "'");
-        }
-      }
+      const std::string mismatch = HeaderMismatch(fields, *schema);
+      if (!mismatch.empty()) return Status::Corruption("CSV " + mismatch);
       continue;
     }
     if (static_cast<int>(fields.size()) != schema->arity()) {
-      return Status::Corruption("CSV record arity mismatch at line " +
-                                std::to_string(line_no));
+      return Status::Corruption(
+          "CSV record arity mismatch at line " + std::to_string(line_no) +
+          ": got " + std::to_string(fields.size()) + " columns, expected " +
+          std::to_string(schema->arity()));
     }
     Tuple t(schema->arity());
     for (int a = 0; a < schema->arity(); ++a) {
       const std::string_view f = fields[static_cast<size_t>(a)];
-      t.set_value(a, f == options.null_token ? Value::Null() : Value(f));
+      Value v = Value::Null();
+      if (f != options.null_token) {
+        // The one interning site for CSV input: pool exhaustion comes back
+        // as TryIntern's OutOfRange status, untouched.
+        UC_ASSIGN_OR_RETURN(ValueId id, StringPool::Global().TryIntern(f));
+        v = Value::FromId(id);
+      }
+      t.set_value(a, v);
     }
     relation.AddTuple(std::move(t));
+  }
+  if (options.header && !saw_header) {
+    return Status::Corruption("CSV is empty (header row required)");
   }
   return relation;
 }
@@ -301,14 +323,10 @@ Result<SchemaPtr> InferCsvSchema(const std::string& path,
   return MakeSchema(relation_name, std::move(names));
 }
 
-Status ReadConfidenceCsvFile(const std::string& path, Relation* relation,
-                             const CsvOptions& options) {
+Status ReadConfidenceCsv(std::istream& in, Relation* relation,
+                         const CsvOptions& options) {
   UC_CHECK(relation != nullptr);
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::NotFound("cannot open confidence CSV: " + path);
-  }
-  const int arity = relation->schema().arity();
+  const Schema& schema = relation->schema();
   std::string line;
   bool saw_header = !options.header;
   TupleId row = 0;
@@ -319,22 +337,26 @@ Status ReadConfidenceCsvFile(const std::string& path, Relation* relation,
     if (line.empty()) continue;
     UC_ASSIGN_OR_RETURN(std::vector<std::string> fields,
                         ParseCsvRecord(line, options.delimiter));
-    if (static_cast<int>(fields.size()) != arity) {
-      return Status::InvalidArgument(
-          "confidence CSV arity mismatch at line " + std::to_string(line_no) +
-          ": expected " + std::to_string(arity) + " fields, got " +
-          std::to_string(fields.size()));
-    }
     if (!saw_header) {
       saw_header = true;
+      const std::string mismatch = HeaderMismatch(fields, schema);
+      if (!mismatch.empty()) {
+        return Status::InvalidArgument("confidence CSV " + mismatch);
+      }
       continue;
+    }
+    if (static_cast<int>(fields.size()) != schema.arity()) {
+      return Status::InvalidArgument(
+          "confidence CSV arity mismatch at line " + std::to_string(line_no) +
+          ": expected " + std::to_string(schema.arity()) + " fields, got " +
+          std::to_string(fields.size()));
     }
     if (row >= relation->size()) {
       return Status::InvalidArgument(
           "confidence CSV has more rows than the data relation (" +
           std::to_string(relation->size()) + ")");
     }
-    for (AttributeId a = 0; a < arity; ++a) {
+    for (AttributeId a = 0; a < schema.arity(); ++a) {
       const std::string& field = fields[static_cast<size_t>(a)];
       double cf = 0.0;
       if (!field.empty() && field != options.null_token) {
@@ -347,7 +369,8 @@ Status ReadConfidenceCsvFile(const std::string& path, Relation* relation,
               std::to_string(line_no) + ": '" + field + "'");
         }
       }
-      if (cf < 0.0 || cf > 1.0) {
+      // Negated so that NaN is rejected too.
+      if (!(cf >= 0.0 && cf <= 1.0)) {
         return Status::InvalidArgument(
             "confidence out of [0, 1] at line " + std::to_string(line_no) +
             ": " + field);
@@ -356,12 +379,25 @@ Status ReadConfidenceCsvFile(const std::string& path, Relation* relation,
     }
     ++row;
   }
+  if (!saw_header) {
+    return Status::InvalidArgument(
+        "confidence CSV is empty (header row required)");
+  }
   if (row != relation->size()) {
     return Status::InvalidArgument(
         "confidence CSV row count mismatch: expected " +
         std::to_string(relation->size()) + ", got " + std::to_string(row));
   }
   return Status::OK();
+}
+
+Status ReadConfidenceCsvFile(const std::string& path, Relation* relation,
+                             const CsvOptions& options) {
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    return Status::NotFound("cannot open confidence CSV: " + path);
+  }
+  return ReadConfidenceCsv(in, relation, options);
 }
 
 Status WriteConfidenceCsv(std::ostream& out, const Relation& relation,

@@ -1,5 +1,10 @@
 // CSV import/export for relations. Quoting follows RFC 4180; nulls are
 // round-tripped as the token `\N` (configurable).
+//
+// The readers are safe on untrusted bytes: they never abort. Malformed
+// input comes back as a Status, and cells are interned with
+// StringPool::TryIntern, so a full string pool returns that call's
+// OutOfRange ("StringPool: ...") status instead of CHECK-failing.
 
 #ifndef UNICLEAN_DATA_CSV_H_
 #define UNICLEAN_DATA_CSV_H_
@@ -45,7 +50,11 @@ bool ReadCsvRecord(std::istream& in, std::string* record,
 Result<std::vector<std::string>> ParseCsvRecord(const std::string& record,
                                                 char delimiter = ',');
 
-/// Parses a relation with the given schema from a stream.
+/// Parses a relation with the given schema from a stream. With
+/// options.header the first non-blank record must name the schema's
+/// attributes in order, and a stream without one is rejected. Fails with
+/// Corruption on malformed CSV (unterminated quote, missing or mismatched
+/// header, arity mismatch) and OutOfRange when the string pool is full.
 Result<Relation> ReadCsv(std::istream& in, SchemaPtr schema,
                          const CsvOptions& options = {});
 
@@ -68,14 +77,18 @@ Result<SchemaPtr> InferCsvSchema(const std::string& path,
                                  const CsvOptions& options = {});
 
 /// Loads per-cell confidences into `*relation` from a CSV with the same
-/// shape as the relation (same arity and row count; the header row is
-/// skipped when options.header). Cells must parse as numbers in [0, 1];
-/// empty cells and nulls count as 0.
+/// shape as the relation: same arity and row count, and with
+/// options.header a header row naming the schema's attributes. Cells must
+/// parse as numbers in [0, 1]; empty cells and nulls count as 0. Fails
+/// with InvalidArgument on a shape or cell error and Corruption on an
+/// unterminated quote.
+Status ReadConfidenceCsv(std::istream& in, Relation* relation,
+                         const CsvOptions& options = {});
 Status ReadConfidenceCsvFile(const std::string& path, Relation* relation,
                              const CsvOptions& options = {});
 
 /// Writes the per-cell confidences of `relation` in the shape
-/// ReadConfidenceCsvFile consumes.
+/// ReadConfidenceCsv consumes.
 Status WriteConfidenceCsv(std::ostream& out, const Relation& relation,
                           const CsvOptions& options = {});
 Status WriteConfidenceCsvFile(const std::string& path,

@@ -6,153 +6,46 @@
 #include <utility>
 
 #include "data/csv.h"
-#include "data/string_pool.h"
-#include "data/value.h"
 
 namespace uniclean {
 namespace serve {
 
 namespace {
 
-constexpr const char* kNullToken = "\\N";
-
-/// Interns one CSV field as a Value without the abort-on-exhaustion path.
-Result<data::Value> SafeValue(const std::string& field) {
-  if (field == kNullToken) return data::Value::Null();
-  UC_ASSIGN_OR_RETURN(data::ValueId id,
-                      data::StringPool::Global().TryIntern(field));
-  return data::Value::FromId(id);
-}
-
-Status CheckHeader(const std::vector<std::string>& fields,
-                   const data::Schema& schema) {
-  if (static_cast<int>(fields.size()) != schema.arity()) {
-    return Status::InvalidArgument(
-        "CSV header arity mismatch: got " + std::to_string(fields.size()) +
-        " columns, schema has " + std::to_string(schema.arity()));
+/// The wire mapping: a malformed document is a bad request, not a broken
+/// frame.
+Status ToWire(const Status& status) {
+  if (status.code() == StatusCode::kCorruption) {
+    return Status::InvalidArgument(status.message());
   }
-  for (int a = 0; a < schema.arity(); ++a) {
-    if (fields[static_cast<size_t>(a)] != schema.attribute_name(a)) {
-      return Status::InvalidArgument(
-          "CSV header mismatch at column " + std::to_string(a) +
-          ": expected '" + schema.attribute_name(a) + "', got '" +
-          fields[static_cast<size_t>(a)] + "'");
-    }
-  }
-  return Status::OK();
-}
-
-/// Shared record loop: invokes `row` for every non-header record.
-template <typename RowFn>
-Status ForEachRecord(const std::string& csv_text, const data::Schema& schema,
-                     bool expect_header, RowFn row) {
-  std::istringstream in(csv_text);
-  std::string record;
-  bool saw_header = !expect_header;
-  int line_no = 0;
-  int lines_read = 0;
-  while (data::ReadCsvRecord(in, &record, &lines_read)) {
-    line_no += lines_read;
-    if (record.empty()) continue;
-    UC_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                        data::ParseCsvRecord(record));
-    if (!saw_header) {
-      saw_header = true;
-      UC_RETURN_IF_ERROR(CheckHeader(fields, schema));
-      continue;
-    }
-    if (static_cast<int>(fields.size()) != schema.arity()) {
-      return Status::InvalidArgument(
-          "CSV record arity mismatch at line " + std::to_string(line_no) +
-          ": got " + std::to_string(fields.size()) + " columns, expected " +
-          std::to_string(schema.arity()));
-    }
-    UC_RETURN_IF_ERROR(row(fields, line_no));
-  }
-  if (!saw_header) {
-    return Status::InvalidArgument("CSV is empty (header row required)");
-  }
-  return Status::OK();
-}
-
-Result<data::Tuple> RowToTuple(const std::vector<std::string>& fields,
-                               const data::Schema& schema) {
-  data::Tuple t(schema.arity());
-  for (int a = 0; a < schema.arity(); ++a) {
-    UC_ASSIGN_OR_RETURN(data::Value v, SafeValue(fields[static_cast<size_t>(a)]));
-    t.set_value(a, v);
-  }
-  return t;
+  return status;
 }
 
 }  // namespace
 
 Result<data::Relation> ParseRelationCsv(const std::string& csv_text,
                                         data::SchemaPtr schema) {
-  data::Relation relation(schema);
-  UC_RETURN_IF_ERROR(ForEachRecord(
-      csv_text, *schema, /*expect_header=*/true,
-      [&](const std::vector<std::string>& fields, int) -> Status {
-        auto t = RowToTuple(fields, *schema);
-        if (!t.ok()) return t.status();
-        relation.AddTuple(std::move(t).value());
-        return Status::OK();
-      }));
+  std::istringstream in(csv_text);
+  Result<data::Relation> relation = data::ReadCsv(in, std::move(schema));
+  if (!relation.ok()) return ToWire(relation.status());
   return relation;
 }
 
 Result<std::vector<data::Tuple>> ParseTupleRows(
     const std::string& csv_text, const data::SchemaPtr& schema,
     bool expect_header) {
-  std::vector<data::Tuple> rows;
-  UC_RETURN_IF_ERROR(ForEachRecord(
-      csv_text, *schema, expect_header,
-      [&](const std::vector<std::string>& fields, int) -> Status {
-        auto t = RowToTuple(fields, *schema);
-        if (!t.ok()) return t.status();
-        rows.push_back(std::move(t).value());
-        return Status::OK();
-      }));
-  return rows;
+  data::CsvOptions options;
+  options.header = expect_header;
+  std::istringstream in(csv_text);
+  Result<data::Relation> rows = data::ReadCsv(in, schema, options);
+  if (!rows.ok()) return ToWire(rows.status());
+  return rows->tuples();
 }
 
 Status ApplyConfidenceCsv(const std::string& csv_text,
                           data::Relation* relation) {
-  data::TupleId next = 0;
-  UC_RETURN_IF_ERROR(ForEachRecord(
-      csv_text, relation->schema(), /*expect_header=*/true,
-      [&](const std::vector<std::string>& fields, int line_no) -> Status {
-        if (next >= relation->size()) {
-          return Status::InvalidArgument(
-              "confidence CSV has more rows than the data relation");
-        }
-        data::Tuple& t = relation->mutable_tuple(next);
-        for (int a = 0; a < relation->schema().arity(); ++a) {
-          const std::string& f = fields[static_cast<size_t>(a)];
-          double cf = 0.0;
-          if (!f.empty() && f != kNullToken) {
-            errno = 0;
-            char* end = nullptr;
-            cf = std::strtod(f.c_str(), &end);
-            if (end == f.c_str() || *end != '\0' || errno == ERANGE ||
-                cf < 0.0 || cf > 1.0) {
-              return Status::InvalidArgument(
-                  "confidence CSV line " + std::to_string(line_no) +
-                  " column " + std::to_string(a) + ": '" + f +
-                  "' is not a number in [0, 1]");
-            }
-          }
-          t.set_confidence(a, cf);
-        }
-        ++next;
-        return Status::OK();
-      }));
-  if (next != relation->size()) {
-    return Status::InvalidArgument(
-        "confidence CSV has " + std::to_string(next) +
-        " rows but the data relation has " + std::to_string(relation->size()));
-  }
-  return Status::OK();
+  std::istringstream in(csv_text);
+  return ToWire(data::ReadConfidenceCsv(in, relation));
 }
 
 Result<std::vector<data::TupleId>> ParseIdList(const std::string& text) {

@@ -1,13 +1,13 @@
-// Hardened CSV ingestion for wire-supplied data. data::ReadCsv interns cell
-// strings through Value's constructor, which CHECK-aborts the process when
-// the StringPool id space is exhausted — acceptable for a CLI, fatal for a
-// daemon a client can feed unbounded distinct values. These parsers follow
-// the exact RFC-4180 record/quote/null semantics of data::ReadCsv (they
-// share ReadCsvRecord / ParseCsvRecord, so a given CSV text produces an
-// identical relation) but intern through StringPool::TryIntern and surface
-// every failure as a Status: pool exhaustion, arity mismatches, bad headers
-// and malformed confidences all come back as error values the daemon turns
-// into protocol error responses, never an abort.
+// The wire's CSV error contract. Client-supplied relations, delta rows and
+// confidences decode through the library readers (data::ReadCsv and
+// data::ReadConfidenceCsv), which never abort on untrusted bytes: they
+// intern through StringPool::TryIntern and report every failure as a
+// Status. These wrappers add one mapping on top. A malformed document is
+// the client's fault, so the readers' Corruption travels as
+// InvalidArgument; Corruption on the wire is kept for broken frames, which
+// the cluster router reads as a failed replica. Every other code passes
+// through unchanged, including pool exhaustion's OutOfRange ("StringPool:
+// ..."), which WireErrorCode turns into ResourceExhausted.
 
 #ifndef UNICLEAN_SERVE_SAFE_CSV_H_
 #define UNICLEAN_SERVE_SAFE_CSV_H_
@@ -23,10 +23,9 @@ namespace uniclean {
 namespace serve {
 
 /// Parses `csv_text` (header row required, matching `schema`) into a
-/// relation, interning every cell via StringPool::TryIntern. Fails with
-/// Corruption on malformed CSV, InvalidArgument on a header/arity mismatch
-/// and OutOfRange ("StringPool: ...") on pool exhaustion — the wire layer
-/// maps the latter to ResourceExhausted (see WireErrorCode).
+/// relation. Fails with InvalidArgument on malformed CSV, a missing or
+/// mismatched header or an arity mismatch, and OutOfRange on pool
+/// exhaustion.
 Result<data::Relation> ParseRelationCsv(const std::string& csv_text,
                                         data::SchemaPtr schema);
 
@@ -41,8 +40,7 @@ Result<std::vector<data::Tuple>> ParseTupleRows(const std::string& csv_text,
 
 /// Applies a confidence CSV (same shape as the relation, header row
 /// required) to `*relation`: every cell must parse as a number in [0, 1].
-/// Mirrors data::ReadConfidenceCsvFile but fails with InvalidArgument
-/// instead of trusting the input.
+/// Fails with InvalidArgument on any malformed input.
 Status ApplyConfidenceCsv(const std::string& csv_text,
                           data::Relation* relation);
 

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/string_util.h"
 #include "data/csv.h"
 #include "data/string_pool.h"
 #include "serve/safe_csv.h"
@@ -34,39 +35,6 @@ double NowS() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string HistogramJson(const LatencyHistogram& h) {
@@ -463,7 +431,6 @@ void Daemon::ReadLoop(std::shared_ptr<Conn> conn) {
     }
     if (!admitted) {
       op_metrics_[op_index].rejected.fetch_add(1, std::memory_order_relaxed);
-      rejected_total_.fetch_add(1, std::memory_order_relaxed);
       const Status unavailable = Status::Unavailable(
           "work queue full (" + std::to_string(options_.max_queue) +
           " queued); retry after the hinted backoff");
@@ -570,15 +537,12 @@ void Daemon::Dispatch(Work& work) {
     metrics.errors.fetch_add(1, std::memory_order_relaxed);
     if (status.code() == StatusCode::kCancelled) {
       metrics.cancelled.fetch_add(1, std::memory_order_relaxed);
-      cancelled_total_.fetch_add(1, std::memory_order_relaxed);
     } else if (status.code() == StatusCode::kDeadlineExceeded) {
       metrics.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-      deadline_total_.fetch_add(1, std::memory_order_relaxed);
     } else if (status.code() == StatusCode::kUnavailable) {
       // The per-ruleset in-flight cap refuses inside the handler; it is
       // still an admission rejection, not a failure of the work itself.
       metrics.rejected.fetch_add(1, std::memory_order_relaxed);
-      rejected_total_.fetch_add(1, std::memory_order_relaxed);
     }
     // The counters record the unwind either way; the response is only
     // worth writing while someone is still reading (shutdown-drain
@@ -984,6 +948,12 @@ void Daemon::LogRequest(const Work& work, uint64_t run_us,
 // Observability
 // ---------------------------------------------------------------------------
 
+uint64_t Daemon::SumOps(std::atomic<uint64_t> OpMetrics::*counter) const {
+  uint64_t total = 0;
+  for (const OpMetrics& m : op_metrics_) total += (m.*counter).load();
+  return total;
+}
+
 std::string Daemon::StatsJson() const {
   std::string out = "{\n";
   out += "  \"uptime_s\": " +
@@ -997,10 +967,10 @@ std::string Daemon::StatsJson() const {
          "},\n";
   out += "  \"protocol_errors\": " + std::to_string(protocol_errors_.load()) +
          ",\n";
-  out += "  \"overload\": {\"rejected\": " + std::to_string(
-             rejected_total_.load()) +
-         ", \"cancelled\": " + std::to_string(cancelled_total_.load()) +
-         ", \"deadline_exceeded\": " + std::to_string(deadline_total_.load()) +
+  out += "  \"overload\": {\"rejected\": " +
+         std::to_string(requests_rejected()) +
+         ", \"cancelled\": " + std::to_string(requests_cancelled()) +
+         ", \"deadline_exceeded\": " + std::to_string(deadlines_exceeded()) +
          "},\n";
   out += "  \"requests\": {";
   bool first = true;
@@ -1072,9 +1042,9 @@ std::string Daemon::SummaryText() const {
                     " tracked session(s), " +
                     std::to_string(protocol_errors_.load()) +
                     " protocol error(s)\n";
-  out += "  overload: " + std::to_string(rejected_total_.load()) +
-         " rejected, " + std::to_string(cancelled_total_.load()) +
-         " cancelled, " + std::to_string(deadline_total_.load()) +
+  out += "  overload: " + std::to_string(requests_rejected()) +
+         " rejected, " + std::to_string(requests_cancelled()) +
+         " cancelled, " + std::to_string(deadlines_exceeded()) +
          " deadline-exceeded\n";
   for (int op = static_cast<int>(Op::kPing);
        op <= static_cast<int>(Op::kCancel); ++op) {

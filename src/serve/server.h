@@ -18,7 +18,9 @@
 //    mid-stream leaks nothing.
 //
 //  * Hardened ingestion — wire bodies decode through BodyReader and
-//    client CSV through serve/safe_csv.h (StringPool::TryIntern), so a
+//    client CSV through the library's data::ReadCsv / ReadConfidenceCsv
+//    (which intern via StringPool::TryIntern and never abort), with
+//    serve/safe_csv.h mapping their errors onto the wire contract. A
 //    malformed, oversized or pool-exhausting request yields a kError
 //    response (or a connection close for unframeable garbage), never a
 //    CHECK-abort of the daemon.
@@ -191,11 +193,15 @@ class Daemon {
   uint64_t protocol_errors() const { return protocol_errors_.load(); }
   /// Requests refused at admission (full queue / per-ruleset cap), i.e.
   /// answered kUnavailable without any work.
-  uint64_t requests_rejected() const { return rejected_total_.load(); }
+  uint64_t requests_rejected() const { return SumOps(&OpMetrics::rejected); }
   /// Requests that unwound with kCancelled (CANCEL opcode or shutdown).
-  uint64_t requests_cancelled() const { return cancelled_total_.load(); }
+  uint64_t requests_cancelled() const {
+    return SumOps(&OpMetrics::cancelled);
+  }
   /// Requests that unwound with kDeadlineExceeded.
-  uint64_t deadlines_exceeded() const { return deadline_total_.load(); }
+  uint64_t deadlines_exceeded() const {
+    return SumOps(&OpMetrics::deadline_exceeded);
+  }
 
   /// Test-only fault injection: when set (before Start), handlers invoke the
   /// hook at named points ("clean.before_run", "delta.before_apply") with
@@ -320,14 +326,13 @@ class Daemon {
   };
   static constexpr int kNumRequestOps = static_cast<int>(Op::kCancel) + 1;
   OpMetrics op_metrics_[kNumRequestOps];
+  /// One counter summed over every opcode: the daemon-wide totals.
+  uint64_t SumOps(std::atomic<uint64_t> OpMetrics::*counter) const;
   std::atomic<uint64_t> conns_accepted_{0};
   std::atomic<uint64_t> conns_open_{0};
   std::atomic<uint64_t> sessions_open_{0};
   std::atomic<uint64_t> sessions_opened_total_{0};
   std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> rejected_total_{0};
-  std::atomic<uint64_t> cancelled_total_{0};
-  std::atomic<uint64_t> deadline_total_{0};
   std::atomic<uint64_t> next_session_id_{1};
   double start_time_s_ = 0.0;
 };

@@ -2,8 +2,9 @@
 // membership hysteresis, spec parsing, and the routing contract over real
 // in-process daemons — routed CLEAN journals byte-identical to the
 // single-daemon run, failover when the primary dies mid-workload, DELTA
-// session pinning (never cross-replica), merged STATS equal to the sum of
-// per-replica counters, unix-socket parity, and retry-seed determinism.
+// session pinning (never cross-replica), no failover on a request fault,
+// merged STATS equal to the sum of per-replica counters (replica names
+// JSON-escaped), unix-socket parity, and retry-seed determinism.
 // Also the TSan target for the prober + routing threads.
 
 #include <unistd.h>
@@ -492,6 +493,47 @@ TEST(ClusterRoutingTest, EmptyRulesetIsRejected) {
   auto reply = client->Clean(request);
   EXPECT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ClusterRoutingTest, MalformedClientCsvSurfacesWithoutFailover) {
+  ClusterWorld* w = ClusterWorld::Get();
+  MembershipOptions options;
+  options.suspect_after = 1;
+  auto membership = w->MakeMembership(options);
+  auto client = w->MakeClient(membership);
+  serve::CleanRequest request;
+  request.ruleset = "hosp";
+  // The daemon's error echoes the unterminated record, so the reply
+  // message contains "truncated": a request fault all the same, which
+  // every owner would answer identically.
+  request.data_csv = w->dirty_csv + "\"truncated";
+  auto reply = client->Clean(request);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument)
+      << reply.status().ToString();
+  EXPECT_EQ(client->failovers(), 0u);
+  for (const std::string& owner :
+       w->ring.Owners("hosp", ClusterWorld::kReplication)) {
+    EXPECT_EQ(membership->health(owner), Health::kHealthy) << owner;
+  }
+}
+
+TEST(ClusterStatsTest, MergedStatsEscapeReplicaNames) {
+  MembershipOptions options;
+  options.probe_timeout_ms = 200;
+  auto membership = std::make_shared<Membership>(options);
+  const std::string name = "r\"1\\x";
+  ASSERT_TRUE(membership->AddReplica(name, "127.0.0.1:1").ok());
+  Ring ring;
+  ASSERT_TRUE(ring.AddReplica(name).ok());
+  ClusterClient client(ring, membership, ClusterClientOptions{});
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("{\"name\": \"r\\\"1\\\\x\", \"health\""),
+            std::string::npos)
+      << *stats;
+  EXPECT_EQ(stats->find("\"name\": \"" + name + "\""), std::string::npos);
+  EXPECT_NE(stats->find("\"stats\": null"), std::string::npos);
 }
 
 TEST(ClusterRoutingTest, PingExReportsLoadAndFingerprints) {

@@ -225,6 +225,17 @@ TEST(StringUtilTest, ToLowerAndStartsWith) {
   EXPECT_FALSE(StartsWith("ed", "edi"));
 }
 
+TEST(StringUtilTest, JsonEscapeQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("r\"1"), "r\\\"1");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(JsonEscape(std::string("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  // Bytes from 0x20 up, UTF-8 included, pass through.
+  EXPECT_EQ(JsonEscape(" ~\xc3\xa9\x7f"), " ~\xc3\xa9\x7f");
+}
+
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(7);
   Rng b(7);

@@ -239,6 +239,23 @@ TEST(CsvTest, UnterminatedQuoteIsCorruption) {
   ASSERT_FALSE(r.ok());
 }
 
+TEST(CsvTest, MissingHeaderRowIsCorruption) {
+  SchemaPtr schema = MakeSchema("t", {"a", "b"});
+  for (const char* text : {"", "\n\n", "\r\n"}) {
+    std::istringstream in(text);
+    auto r = ReadCsv(in, schema);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  }
+  // Without a header row an empty document is an empty relation.
+  CsvOptions opts;
+  opts.header = false;
+  std::istringstream in("");
+  auto r = ReadCsv(in, schema, opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->size(), 0);
+}
+
 TEST(CsvTest, NoHeaderMode) {
   SchemaPtr schema = MakeSchema("t", {"a", "b"});
   CsvOptions opts;

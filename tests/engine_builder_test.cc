@@ -211,6 +211,42 @@ TEST(ConfidenceCsvTest, RejectsConfidenceOutOfRange) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ConfidenceCsvTest, StreamFormAppliesConfidences) {
+  Relation d(data::MakeSchema("t", {"a", "b"}));
+  d.AddRow({"x", "y"});
+  d.AddRow({"z", "w"});
+  std::istringstream in("a,b\n0.5,\n\\N,1\n");
+  ASSERT_TRUE(data::ReadConfidenceCsv(in, &d).ok());
+  EXPECT_EQ(d.tuple(0).confidence(0), 0.5);
+  EXPECT_EQ(d.tuple(0).confidence(1), 0.0);
+  EXPECT_EQ(d.tuple(1).confidence(0), 0.0);
+  EXPECT_EQ(d.tuple(1).confidence(1), 1.0);
+}
+
+TEST(ConfidenceCsvTest, RejectsHeaderNamesThatDifferFromTheSchema) {
+  Relation d(data::MakeSchema("t", {"a", "b"}));
+  d.AddRow({"x", "y"});
+  std::istringstream in("a,WRONG\n0.5,0.5\n");
+  Status s = data::ReadConfidenceCsv(in, &d);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("WRONG"), std::string::npos) << s.ToString();
+}
+
+TEST(ConfidenceCsvTest, RejectsMissingHeaderRow) {
+  Relation d(data::MakeSchema("t", {"a"}));
+  std::istringstream in("\n");
+  EXPECT_EQ(data::ReadConfidenceCsv(in, &d).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ConfidenceCsvTest, RejectsNan) {
+  Relation d(data::MakeSchema("t", {"a"}));
+  d.AddRow({"x"});
+  std::istringstream in("a\nnan\n");
+  EXPECT_EQ(data::ReadConfidenceCsv(in, &d).code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Running the pipeline
 // ---------------------------------------------------------------------------
