@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "core/md_matcher.h"
 #include "data/string_pool.h"
 #include "gen/dataset.h"
@@ -983,36 +984,36 @@ void AblationPoint(int master_size, bool use_blocking) {
 }
 
 void WriteJson(const std::string& path) {
+  JsonWriter w;
+  w.BeginObject().Key("schema").String("uniclean-bench-v1");
+  w.Key("results").BeginArray();
+  for (const Measurement& m : Results()) {
+    w.BeginObject().Key("name").String(m.name).Key("dataset").String(m.dataset);
+    w.Key("num_tuples").Int(m.num_tuples).Key("master_size").Int(m.master_size);
+    w.Key("phases").String(m.phases).Key("wall_s").Double(m.wall_s, 6);
+    w.Key("items_per_sec").Double(m.items_per_sec, 1);
+    w.Key("rss_kb").Int(m.rss_kb);
+    w.Key("cumulative_peak_rss_kb").Int(m.peak_rss_kb);
+    w.Key("allocs").Uint(m.allocs).Key("alloc_bytes").Uint(m.alloc_bytes);
+    w.Key("result").Int(m.extra);
+    if (m.p50_ms >= 0) {
+      w.Key("p50_ms").Double(m.p50_ms, 2).Key("p99_ms").Double(m.p99_ms, 2);
+      w.Key("reject_rate").Double(m.reject_rate, 4);
+    }
+    w.EndObject();
+  }
+  w.EndArray().EndObject();
+  // A short write (a full disk) must fail the run, not leave a truncated
+  // file behind exit status 0.
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  bool ok = f != nullptr && std::fprintf(f, "%s\n", w.str().c_str()) >= 0 &&
+            std::ferror(f) == 0;
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
     std::fprintf(stderr, "bench_json: cannot write %s\n", path.c_str());
     std::exit(2);
   }
-  std::fprintf(f, "{\n  \"schema\": \"uniclean-bench-v1\",\n  \"results\": [\n");
-  const std::vector<Measurement>& rs = Results();
-  for (size_t i = 0; i < rs.size(); ++i) {
-    const Measurement& m = rs[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"dataset\": \"%s\", \"num_tuples\": %d, "
-        "\"master_size\": %d, \"phases\": \"%s\", \"wall_s\": %.6f, "
-        "\"items_per_sec\": %.1f, \"rss_kb\": %ld, "
-        "\"cumulative_peak_rss_kb\": %ld, \"allocs\": %llu, "
-        "\"alloc_bytes\": %llu, \"result\": %lld",
-        m.name.c_str(), m.dataset.c_str(), m.num_tuples, m.master_size,
-        m.phases.c_str(), m.wall_s, m.items_per_sec, m.rss_kb, m.peak_rss_kb,
-        m.allocs, m.alloc_bytes, m.extra);
-    if (m.p50_ms >= 0) {
-      std::fprintf(f,
-                   ", \"p50_ms\": %.2f, \"p99_ms\": %.2f, "
-                   "\"reject_rate\": %.4f",
-                   m.p50_ms, m.p99_ms, m.reject_rate);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu points)\n", path.c_str(), rs.size());
+  std::printf("wrote %s (%zu points)\n", path.c_str(), Results().size());
 }
 
 }  // namespace

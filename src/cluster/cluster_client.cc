@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/latency_histogram.h"
-#include "common/string_util.h"
+#include "common/json.h"
+#include "serve/server.h"
 
 namespace uniclean {
 namespace cluster {
@@ -210,67 +210,6 @@ std::vector<std::string> ClusterClient::ConnectedReplicas() const {
 // STATS fan-out + merge
 // ---------------------------------------------------------------------------
 
-Result<std::string> StatsOpSection(const std::string& stats_json,
-                                   const std::string& op) {
-  const size_t requests = stats_json.find("\"requests\"");
-  if (requests == std::string::npos) {
-    return Status::Corruption("stats: no \"requests\" object");
-  }
-  const std::string needle = "\"" + op + "\": {";
-  const size_t at = stats_json.find(needle, requests);
-  if (at == std::string::npos) {
-    return Status::NotFound("stats: no section for op " + op);
-  }
-  // Brace-balance from the section's opening brace; the requests object
-  // holds only counters and encoded-histogram tokens, no brace-bearing
-  // strings.
-  size_t pos = at + needle.size() - 1;
-  int depth = 0;
-  for (size_t i = pos; i < stats_json.size(); ++i) {
-    if (stats_json[i] == '{') ++depth;
-    if (stats_json[i] == '}' && --depth == 0) {
-      return stats_json.substr(pos, i - pos + 1);
-    }
-  }
-  return Status::Corruption("stats: unbalanced braces in op section " + op);
-}
-
-Result<uint64_t> StatsOpCounter(const std::string& stats_json,
-                                const std::string& op,
-                                const std::string& key) {
-  UC_ASSIGN_OR_RETURN(std::string section, StatsOpSection(stats_json, op));
-  const std::string needle = "\"" + key + "\": ";
-  const size_t at = section.find(needle);
-  if (at == std::string::npos) {
-    return Status::NotFound("stats: op " + op + " has no key " + key);
-  }
-  uint64_t v = 0;
-  size_t i = at + needle.size();
-  if (i >= section.size() || section[i] < '0' || section[i] > '9') {
-    return Status::Corruption("stats: non-numeric value for " + op + "." + key);
-  }
-  for (; i < section.size() && section[i] >= '0' && section[i] <= '9'; ++i) {
-    v = v * 10 + static_cast<uint64_t>(section[i] - '0');
-  }
-  return v;
-}
-
-Result<std::string> StatsOpHist(const std::string& stats_json,
-                                const std::string& op) {
-  UC_ASSIGN_OR_RETURN(std::string section, StatsOpSection(stats_json, op));
-  const std::string needle = "\"hist\": \"";
-  const size_t at = section.find(needle);
-  if (at == std::string::npos) {
-    return Status::NotFound("stats: op " + op + " has no hist field");
-  }
-  const size_t start = at + needle.size();
-  const size_t end = section.find('"', start);
-  if (end == std::string::npos) {
-    return Status::Corruption("stats: unterminated hist string for op " + op);
-  }
-  return section.substr(start, end - start);
-}
-
 Result<std::string> ClusterClient::Stats() {
   struct PerReplica {
     std::string name;
@@ -302,65 +241,26 @@ Result<std::string> ClusterClient::Stats() {
     replicas.push_back(std::move(pr));
   }
 
-  static const char* kKeys[] = {"count", "errors", "rejected", "cancelled",
-                                "deadline_exceeded"};
-  std::string out = "{\n";
-  out += "  \"cluster\": {\"replicas\": " + std::to_string(replicas.size()) +
-         ", \"responding\": " + std::to_string(responding) + "},\n";
-  out += "  \"requests\": {";
-  bool first_op = true;
+  JsonWriter w;
+  w.BeginObject().Key("cluster").BeginObject();
+  w.Key("replicas").Uint(replicas.size()).Key("responding").Int(responding);
+  w.EndObject().Key("requests").BeginObject();
   for (int op = static_cast<int>(serve::Op::kPing);
        op <= static_cast<int>(serve::Op::kCancel); ++op) {
     const char* op_name = serve::OpName(static_cast<serve::Op>(op));
-    uint64_t sums[5] = {0, 0, 0, 0, 0};
-    LatencyHistogram merged;
-    for (const PerReplica& pr : replicas) {
-      if (pr.json.empty()) continue;
-      for (int k = 0; k < 5; ++k) {
-        Result<uint64_t> v = StatsOpCounter(pr.json, op_name, kKeys[k]);
-        if (v.ok()) sums[k] += v.value();
-      }
-      Result<std::string> hist = StatsOpHist(pr.json, op_name);
-      if (hist.ok()) merged.MergeEncoded(hist.value());
-    }
-    if (!first_op) out += ',';
-    first_op = false;
-    out += "\n    \"" + std::string(op_name) + "\": {";
-    for (int k = 0; k < 5; ++k) {
-      out += std::string(k == 0 ? "" : ", ") + "\"" + kKeys[k] +
-             "\": " + std::to_string(sums[k]);
-    }
-    out += ", \"latency_us\": {\"mean\": " + std::to_string(merged.mean()) +
-           ", \"p50\": " + std::to_string(merged.p50()) +
-           ", \"p95\": " + std::to_string(merged.p95()) +
-           ", \"p99\": " + std::to_string(merged.p99()) +
-           ", \"max\": " + std::to_string(merged.max()) + "}";
-    out += ", \"hist\": \"" + merged.Encode() + "\"}";
+    serve::OpMetrics merged;
+    // A silent replica, or one whose entry does not parse, adds nothing.
+    for (const PerReplica& pr : replicas) merged.MergeJson(pr.json, op_name);
+    merged.WriteJson(w.Key(op_name));
   }
-  out += "\n  },\n";
-  out += "  \"replicas\": [";
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    const PerReplica& pr = replicas[i];
-    if (i > 0) out += ',';
-    out += "\n    {\"name\": \"" + JsonEscape(pr.name) +
-           "\", \"health\": \"" + HealthName(pr.health) +
-           "\", \"responding\": " + (pr.json.empty() ? "false" : "true") +
-           ", \"stats\": ";
-    if (pr.json.empty()) {
-      out += "null";
-    } else {
-      // The per-replica document is verbatim JSON; strip its trailing
-      // newline so the embedding stays tidy.
-      std::string body = pr.json;
-      while (!body.empty() && (body.back() == '\n' || body.back() == ' ')) {
-        body.pop_back();
-      }
-      out += body;
-    }
-    out += "}";
+  w.EndObject().Key("replicas").BeginArray();
+  for (const PerReplica& pr : replicas) {
+    w.BeginObject().Key("name").String(pr.name);
+    w.Key("health").String(HealthName(pr.health));
+    w.Key("responding").Bool(!pr.json.empty()).Key("stats");
+    (pr.json.empty() ? w.Null() : w.Raw(pr.json)).EndObject();
   }
-  out += "\n  ]\n}\n";
-  return out;
+  return w.EndArray().EndObject().str();
 }
 
 }  // namespace cluster

@@ -87,7 +87,9 @@ class ClusterClient {
 
   Status CloseSession(uint64_t session_id);
 
-  /// Fans STATS out to every non-down replica; returns the merged document.
+  /// Fans STATS out to every non-down replica; returns the merged document:
+  /// a "cluster" envelope, "requests" summed per opcode (serve::OpMetrics)
+  /// and, per replica, its own document (or null) under "replicas".
   Result<std::string> Stats();
 
   const Ring& ring() const { return ring_; }
@@ -124,19 +126,6 @@ class ClusterClient {
   uint64_t next_session_ = 1;
   uint64_t failovers_ = 0;
 };
-
-// --- STATS-merge helpers (exposed for tests) -------------------------------
-
-/// The brace-balanced `{...}` text of `"<op>": {...}` inside the document's
-/// "requests" object.
-Result<std::string> StatsOpSection(const std::string& stats_json,
-                                   const std::string& op);
-/// An integer counter (e.g. "count", "errors") from an op's section.
-Result<uint64_t> StatsOpCounter(const std::string& stats_json,
-                                const std::string& op, const std::string& key);
-/// The encoded latency histogram ("hist") from an op's section.
-Result<std::string> StatsOpHist(const std::string& stats_json,
-                                const std::string& op);
 
 }  // namespace cluster
 }  // namespace uniclean

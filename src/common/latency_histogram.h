@@ -15,8 +15,10 @@
 #define UNICLEAN_COMMON_LATENCY_HISTOGRAM_H_
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace uniclean {
 
@@ -131,26 +133,28 @@ class LatencyHistogram {
 
   /// Folds an Encode()d histogram's observations in, exactly as Merge()
   /// would the live histogram. Returns false (leaving this histogram
-  /// untouched) on a malformed or unknown-version token.
-  bool MergeEncoded(const std::string& encoded) {
-    if (encoded.compare(0, 3, "v1,") != 0) return false;
+  /// untouched) on a malformed or unknown-version token, including any
+  /// number above UINT64_MAX.
+  bool MergeEncoded(std::string_view encoded) {
+    if (encoded.substr(0, 3) != "v1,") return false;
     uint64_t header[3] = {0, 0, 0};  // count, sum, max
     uint64_t add[kNumBuckets] = {};
     int field = 0;
     size_t pos = 3;
     while (pos <= encoded.size()) {
       size_t comma = encoded.find(',', pos);
-      if (comma == std::string::npos) comma = encoded.size();
-      const std::string tok = encoded.substr(pos, comma - pos);
+      if (comma == std::string_view::npos) comma = encoded.size();
+      const std::string_view tok = encoded.substr(pos, comma - pos);
       if (field < 3) {
         if (!ParseU64(tok, &header[field])) return false;
       } else {
         const size_t eq = tok.find('=');
         uint64_t bucket = 0, n = 0;
-        if (eq == std::string::npos ||
+        if (eq == std::string_view::npos ||
             !ParseU64(tok.substr(0, eq), &bucket) ||
             !ParseU64(tok.substr(eq + 1), &n) ||
-            bucket >= static_cast<uint64_t>(kNumBuckets)) {
+            bucket >= static_cast<uint64_t>(kNumBuckets) ||
+            n > UINT64_MAX - add[bucket]) {
           return false;
         }
         add[bucket] += n;
@@ -190,15 +194,11 @@ class LatencyHistogram {
   static constexpr int kSub = 1 << kSubBits;  // 8
   static constexpr int kNumBuckets = ((64 - kSubBits) << kSubBits) + kSub;
 
-  static bool ParseU64(const std::string& s, uint64_t* out) {
-    if (s.empty()) return false;
-    uint64_t v = 0;
-    for (char c : s) {
-      if (c < '0' || c > '9') return false;
-      v = v * 10 + static_cast<uint64_t>(c - '0');
-    }
-    *out = v;
-    return true;
+  /// A whole-token decimal; false on anything else, overflow included.
+  static bool ParseU64(std::string_view s, uint64_t* out) {
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+    return ec == std::errc() && ptr == end;
   }
 
   static int BucketFor(uint64_t v) {

@@ -7,13 +7,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
 #include <utility>
 
-#include "common/string_util.h"
 #include "data/csv.h"
 #include "data/string_pool.h"
 #include "serve/safe_csv.h"
@@ -35,14 +35,6 @@ double NowS() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string HistogramJson(const LatencyHistogram& h) {
-  return "{\"mean\": " + std::to_string(h.mean()) +
-         ", \"p50\": " + std::to_string(h.p50()) +
-         ", \"p95\": " + std::to_string(h.p95()) +
-         ", \"p99\": " + std::to_string(h.p99()) +
-         ", \"max\": " + std::to_string(h.max()) + "}";
 }
 
 std::string FingerprintHex(uint64_t fp) {
@@ -929,24 +921,79 @@ void Daemon::LogRequest(const Work& work, uint64_t run_us,
   const uint64_t queue_wait_us = work.dequeue_us > work.enqueue_us
                                      ? work.dequeue_us - work.enqueue_us
                                      : 0;
-  std::string line = "{\"op\": \"";
-  line += OpName(work.frame.op);
-  line += "\", \"ruleset\": \"" + JsonEscape(work.ruleset) + "\"";
-  line += ", \"tag\": " + std::to_string(work.frame.tag);
-  line += ", \"bytes_in\": " + std::to_string(work.frame.body.size());
-  line += ", \"bytes_out\": " + std::to_string(work.bytes_out);
-  line += ", \"queue_wait_us\": " + std::to_string(queue_wait_us);
-  line += ", \"run_us\": " + std::to_string(run_us);
-  line += ", \"status\": \"";
-  line += StatusCodeToString(status.code());
-  line += "\"}\n";
+  JsonWriter w;
+  w.BeginObject().Key("op").String(OpName(work.frame.op));
+  w.Key("ruleset").String(work.ruleset).Key("tag").Uint(work.frame.tag);
+  w.Key("bytes_in").Uint(work.frame.body.size());
+  w.Key("bytes_out").Uint(work.bytes_out);
+  w.Key("queue_wait_us").Uint(queue_wait_us).Key("run_us").Uint(run_us);
+  w.Key("status").String(StatusCodeToString(status.code())).EndObject();
   std::lock_guard<std::mutex> lock(request_log_mu_);
-  std::fputs(line.c_str(), request_log_);
+  std::fprintf(request_log_, "%s\n", w.str().c_str());
 }
 
 // ---------------------------------------------------------------------------
 // Observability
 // ---------------------------------------------------------------------------
+
+/// OpMetrics' counters in their STATS key order.
+constexpr std::pair<const char*, std::atomic<uint64_t> OpMetrics::*>
+    kOpCounters[] = {{"count", &OpMetrics::requests},
+                     {"errors", &OpMetrics::errors},
+                     {"rejected", &OpMetrics::rejected},
+                     {"cancelled", &OpMetrics::cancelled},
+                     {"deadline_exceeded", &OpMetrics::deadline_exceeded}};
+
+void OpMetrics::WriteJson(JsonWriter& w) const {
+  w.BeginObject();
+  for (const auto& [key, counter] : kOpCounters) {
+    w.Key(key).Uint((this->*counter).load());
+  }
+  w.Key("latency_us").BeginObject().Key("mean").Uint(latency_us.mean());
+  w.Key("p50").Uint(latency_us.p50()).Key("p95").Uint(latency_us.p95());
+  w.Key("p99").Uint(latency_us.p99()).Key("max").Uint(latency_us.max());
+  w.EndObject().Key("hist").String(latency_us.Encode()).EndObject();
+}
+
+Status OpMetrics::MergeJson(std::string_view stats_json, std::string_view op) {
+  const std::string name(op);
+  const std::string entry_key = "\"" + name + "\": {";
+  const size_t at =
+      stats_json.find(entry_key, stats_json.find("\"requests\": {"));
+  if (at == stats_json.npos) return Status::NotFound("stats: no " + name);
+  const Status malformed = Status::Corruption("stats: malformed " + name);
+  // WriteJson's layout, read in order (escaping keeps `"OP": {` out of values).
+  std::string_view rest = stats_json.substr(at + entry_key.size());
+  const auto consume = [&rest](std::string_view text) {
+    if (rest.substr(0, text.size()) != text) return false;
+    rest.remove_prefix(text.size());
+    return true;
+  };
+  uint64_t add[std::size(kOpCounters)] = {};  // added only once all parse
+  for (size_t k = 0; k < std::size(kOpCounters); ++k) {
+    if (!consume((k == 0 ? "\"" : ", \"") +
+                 std::string(kOpCounters[k].first) + "\": ")) {
+      return malformed;
+    }
+    const auto [ptr, ec] =
+        std::from_chars(rest.data(), rest.data() + rest.size(), add[k]);
+    if (ec != std::errc()) return malformed;
+    rest.remove_prefix(ptr - rest.data());
+  }
+  // "latency_us" is derived from "hist" and holds no nested object: skip it.
+  const size_t latency_end =
+      consume(", \"latency_us\": {") ? rest.find('}') : rest.npos;
+  if (latency_end == rest.npos) return malformed;
+  rest.remove_prefix(latency_end + 1);
+  if (!consume(", \"hist\": \"") ||
+      !latency_us.MergeEncoded(rest.substr(0, rest.find('"')))) {
+    return malformed;
+  }
+  for (size_t k = 0; k < std::size(kOpCounters); ++k) {
+    (this->*kOpCounters[k].second).fetch_add(add[k]);
+  }
+  return Status::OK();
+}
 
 uint64_t Daemon::SumOps(std::atomic<uint64_t> OpMetrics::*counter) const {
   uint64_t total = 0;
@@ -955,83 +1002,58 @@ uint64_t Daemon::SumOps(std::atomic<uint64_t> OpMetrics::*counter) const {
 }
 
 std::string Daemon::StatsJson() const {
-  std::string out = "{\n";
-  out += "  \"uptime_s\": " +
-         std::to_string(running_.load() ? NowS() - start_time_s_ : 0.0) +
-         ",\n";
-  out += "  \"connections\": {\"live\": " +
-         std::to_string(conns_open_.load()) + ", \"accepted\": " +
-         std::to_string(conns_accepted_.load()) + "},\n";
-  out += "  \"sessions\": {\"live\": " + std::to_string(sessions_open_.load()) +
-         ", \"opened\": " + std::to_string(sessions_opened_total_.load()) +
-         "},\n";
-  out += "  \"protocol_errors\": " + std::to_string(protocol_errors_.load()) +
-         ",\n";
-  out += "  \"overload\": {\"rejected\": " +
-         std::to_string(requests_rejected()) +
-         ", \"cancelled\": " + std::to_string(requests_cancelled()) +
-         ", \"deadline_exceeded\": " + std::to_string(deadlines_exceeded()) +
-         "},\n";
-  out += "  \"requests\": {";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("uptime_s").Double(running_.load() ? NowS() - start_time_s_ : 0.0, 6);
+  w.Key("connections").BeginObject().Key("live").Uint(conns_open_.load());
+  w.Key("accepted").Uint(conns_accepted_.load()).EndObject();
+  w.Key("sessions").BeginObject().Key("live").Uint(sessions_open_.load());
+  w.Key("opened").Uint(sessions_opened_total_.load()).EndObject();
+  w.Key("protocol_errors").Uint(protocol_errors_.load());
+  w.Key("overload").BeginObject().Key("rejected").Uint(requests_rejected());
+  w.Key("cancelled").Uint(requests_cancelled());
+  w.Key("deadline_exceeded").Uint(deadlines_exceeded()).EndObject();
+  w.Key("requests").BeginObject();
   for (int op = static_cast<int>(Op::kPing);
        op <= static_cast<int>(Op::kCancel); ++op) {
-    const OpMetrics& m = op_metrics_[op];
-    if (!first) out += ',';
-    first = false;
-    out += "\n    \"" + std::string(OpName(static_cast<Op>(op))) +
-           "\": {\"count\": " + std::to_string(m.requests.load()) +
-           ", \"errors\": " + std::to_string(m.errors.load()) +
-           ", \"rejected\": " + std::to_string(m.rejected.load()) +
-           ", \"cancelled\": " + std::to_string(m.cancelled.load()) +
-           ", \"deadline_exceeded\": " +
-           std::to_string(m.deadline_exceeded.load()) +
-           ", \"latency_us\": " + HistogramJson(m.latency_us) +
-           ", \"hist\": \"" + m.latency_us.Encode() + "\"}";
+    op_metrics_[op].WriteJson(w.Key(OpName(static_cast<Op>(op))));
   }
-  out += "\n  },\n";
-  out += "  \"rulesets\": [";
+  w.EndObject().Key("rulesets").BeginArray();
   core::MemoStats memo_total;
   int snapshot_warmed = 0;
-  for (size_t i = 0; i < engines_.size(); ++i) {
-    const EngineEntry& entry = *engines_[i];
-    std::shared_ptr<CleanEngine> engine = entry.Get();
-    if (i > 0) out += ',';
+  for (const auto& entry : engines_) {
+    std::shared_ptr<CleanEngine> engine = entry->Get();
     const core::MemoStats memo = engine->MemoStats();
     memo_total += memo;
     if (!engine->snapshot_source().empty()) ++snapshot_warmed;
-    out += "\n    {\"name\": \"" + JsonEscape(entry.cfg.name) +
-           "\", \"fingerprint\": \"" + FingerprintHex(engine->Fingerprint()) +
-           "\", \"reloads\": " + std::to_string(entry.reloads.load()) +
-           ", \"master_tuples\": " + std::to_string(engine->master().size()) +
-           ", \"cfds\": " + std::to_string(engine->rules().cfds().size()) +
-           ", \"mds\": " + std::to_string(engine->rules().mds().size()) +
-           ", \"snapshot\": {\"source\": \"" +
-           JsonEscape(engine->snapshot_source()) + "\", \"load_s\": " +
-           std::to_string(engine->snapshot_load_seconds()) + "}" +
-           ", \"memo\": {\"entries\": " + std::to_string(memo.entries) +
-           ", \"bytes\": " + std::to_string(memo.bytes) +
-           ", \"hits\": " + std::to_string(memo.hits) +
-           ", \"misses\": " + std::to_string(memo.misses) +
-           ", \"evictions\": " + std::to_string(memo.evictions) + "}}";
+    w.BeginObject().Key("name").String(entry->cfg.name);
+    w.Key("fingerprint").String(FingerprintHex(engine->Fingerprint()));
+    w.Key("reloads").Uint(entry->reloads.load());
+    w.Key("master_tuples").Uint(engine->master().size());
+    w.Key("cfds").Uint(engine->rules().cfds().size());
+    w.Key("mds").Uint(engine->rules().mds().size());
+    w.Key("snapshot").BeginObject();
+    w.Key("source").String(engine->snapshot_source());
+    w.Key("load_s").Double(engine->snapshot_load_seconds(), 6).EndObject();
+    w.Key("memo").BeginObject().Key("entries").Uint(memo.entries);
+    w.Key("bytes").Uint(memo.bytes).Key("hits").Uint(memo.hits);
+    w.Key("misses").Uint(memo.misses);
+    w.Key("evictions").Uint(memo.evictions).EndObject().EndObject();
   }
-  out += "\n  ],\n";
+  w.EndArray();
   const data::StringPoolStats pool = data::StringPool::Global().Stats();
   // The warm-state footprint rollup: everything a restart would have to
   // rebuild (or a snapshot restores) in one place.
-  out += "  \"engine_memory\": {\"string_pool\": {\"interned\": " +
-         std::to_string(pool.interned) +
-         ", \"chunks\": " + std::to_string(pool.chunks) +
-         ", \"string_bytes\": " + std::to_string(pool.string_bytes) +
-         "}, \"memo\": {\"entries\": " + std::to_string(memo_total.entries) +
-         ", \"bytes\": " + std::to_string(memo_total.bytes) +
-         "}, \"snapshot_warmed_engines\": " + std::to_string(snapshot_warmed) +
-         "},\n";
-  out += "  \"string_pool\": {\"interned\": " + std::to_string(pool.interned) +
-         ", \"remaining\": " + std::to_string(pool.remaining) +
-         ", \"string_bytes\": " + std::to_string(pool.string_bytes) + "}\n";
-  out += "}\n";
-  return out;
+  w.Key("engine_memory").BeginObject().Key("string_pool").BeginObject();
+  w.Key("interned").Uint(pool.interned).Key("chunks").Uint(pool.chunks);
+  w.Key("string_bytes").Uint(pool.string_bytes).EndObject();
+  w.Key("memo").BeginObject().Key("entries").Uint(memo_total.entries);
+  w.Key("bytes").Uint(memo_total.bytes).EndObject();
+  w.Key("snapshot_warmed_engines").Int(snapshot_warmed).EndObject();
+  w.Key("string_pool").BeginObject().Key("interned").Uint(pool.interned);
+  w.Key("remaining").Uint(pool.remaining);
+  w.Key("string_bytes").Uint(pool.string_bytes).EndObject();
+  return w.EndObject().str();
 }
 
 std::string Daemon::SummaryText() const {

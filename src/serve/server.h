@@ -38,12 +38,9 @@
 //    opcode is handled on the reader thread — it reaches a request even
 //    when every worker is busy.
 //
-//  * Observability — per-opcode request/error/rejected/cancelled/
-//    deadline-exceeded counters and microsecond LatencyHistograms
-//    (common/latency_histogram.h), engine MemoStats, fingerprints and
-//    reload counts, StringPool occupancy; all exposed as the STATS JSON
-//    document and rendered once more as the shutdown summary. Optional
-//    per-request JSON log (request_log_path).
+//  * Observability — per-opcode OpMetrics, engine memo, fingerprint and
+//    reload stats and StringPool occupancy, exposed as the STATS document
+//    (StatsJson()) and the shutdown summary; optional per-request JSON log.
 //
 // Shutdown() is a graceful drain: stop accepting, EOF every reader, finish
 // the queued work, then join — except that after drain_grace_ms every
@@ -70,6 +67,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/json.h"
 #include "common/latency_histogram.h"
 #include "common/result.h"
 #include "serve/wire.h"
@@ -150,6 +148,32 @@ struct DaemonOptions {
   std::string snapshot_dir;
 };
 
+/// One opcode's request metrics, and the one type of a STATS "requests"
+/// entry: the daemon writes it and the cluster client sums replicas' entries.
+/// Lock-free. The entry renders as {"count": N, "errors": N, "rejected": N,
+/// "cancelled": N, "deadline_exceeded": N, "latency_us": {"mean": N, "p50":
+/// N, "p95": N, "p99": N, "max": N}, "hist": "<LatencyHistogram::Encode()>"}.
+struct OpMetrics {
+  /// Dispatched to a worker (== accepted; rejected requests never count
+  /// here). Rendered as "count".
+  std::atomic<uint64_t> requests{0};
+  std::atomic<uint64_t> errors{0};
+  /// Refused at admission with kUnavailable (full queue / ruleset cap).
+  std::atomic<uint64_t> rejected{0};
+  /// Unwound with kCancelled (CANCEL opcode, client gone, or shutdown).
+  std::atomic<uint64_t> cancelled{0};
+  /// Unwound with kDeadlineExceeded.
+  std::atomic<uint64_t> deadline_exceeded{0};
+  LatencyHistogram latency_us;
+
+  /// Writes the entry as one JSON object value.
+  void WriteJson(JsonWriter& w) const;
+  /// Adds entry `op` of a STATS document's "requests" into this one, all or
+  /// nothing like LatencyHistogram::MergeEncoded: NotFound when absent, and
+  /// Corruption when it strays from WriteJson's layout or exceeds UINT64_MAX.
+  Status MergeJson(std::string_view stats_json, std::string_view op);
+};
+
 class Daemon {
  public:
   Daemon(DaemonOptions options, std::vector<RulesetConfig> rulesets);
@@ -176,8 +200,14 @@ class Daemon {
   /// session. Idempotent; also invoked by the destructor.
   void Shutdown();
 
-  /// The STATS JSON document (also served over the wire). Safe while
-  /// requests are running.
+  /// The STATS document (the kStatsReply body): one compact JSON object,
+  /// safe to take while requests run. Top-level keys in order: "uptime_s",
+  /// "connections", "sessions", "protocol_errors", "overload" (counters
+  /// summed over opcodes), "requests" ({"<OpName>": OpMetrics entry} for
+  /// every opcode), "rulesets" (one object per line), "engine_memory" and
+  /// "string_pool". The cluster client merges "requests"; perfbench scans
+  /// the text for "snapshot_warmed_engines", the rulesets' memo "hits" and
+  /// "misses" and snapshot "load_s", and engine_memory's memo "bytes".
   std::string StatsJson() const;
 
   /// Human-readable per-opcode latency/error summary for the shutdown log.
@@ -311,19 +341,6 @@ class Daemon {
   FaultHook fault_hook_;
 
   // Metrics.
-  struct OpMetrics {
-    /// Dispatched to a worker (== accepted; rejected requests never count
-    /// here).
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> errors{0};
-    /// Refused at admission with kUnavailable (full queue / ruleset cap).
-    std::atomic<uint64_t> rejected{0};
-    /// Unwound with kCancelled (CANCEL opcode, client gone, or shutdown).
-    std::atomic<uint64_t> cancelled{0};
-    /// Unwound with kDeadlineExceeded.
-    std::atomic<uint64_t> deadline_exceeded{0};
-    LatencyHistogram latency_us;
-  };
   static constexpr int kNumRequestOps = static_cast<int>(Op::kCancel) + 1;
   OpMetrics op_metrics_[kNumRequestOps];
   /// One counter summed over every opcode: the daemon-wide totals.

@@ -55,7 +55,7 @@
 //               u32 journal entries, lp phase summary text
 //   kDeltaDone  u32 generation, u32 affected tuples, u32 refinement rounds,
 //               u32 fixes
-//   kStatsReply JSON text (see server.h for the document shape)
+//   kStatsReply JSON text (Daemon::StatsJson() in server.h gives the shape)
 //   kOk         lp message
 //   kError      u8 wire error code (the numeric StatusCode: 1 =
 //               InvalidArgument, 2 = NotFound, 3 = Corruption, 4 =

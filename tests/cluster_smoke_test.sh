@@ -2,7 +2,8 @@
 # End-to-end cluster smoke test: unicleanctl spawns a 3-replica, R=2
 # unicleand fleet over unix sockets from one spec file (sharing a snapshot
 # dir), a routed CLEAN through the consistent-hash ring produces a journal
-# byte-identical to an in-process uniclean_cli run, a rolling RELOAD keeps
+# byte-identical to an in-process uniclean_cli run, the merged STATS parses
+# as JSON, a rolling RELOAD keeps
 # the fleet serving, then kill -9 of the primary owner mid-fleet is
 # absorbed by failover (again byte-identical), the killed replica restarts
 # warm from its snapshot, and unicleanctl stop drains what remains. Driven
@@ -83,6 +84,8 @@ grep -q " 0 failover(s)" clean1.txt \
 grep -q '"cluster"' stats.txt || fail "no cluster envelope in merged stats"
 grep -q '"replicas": 3' stats.txt || fail "merged stats misses replicas"
 grep -q '"CLEAN"' stats.txt || fail "no CLEAN section in merged stats"
+python3 -m json.tool stats.txt >/dev/null \
+  || fail "merged stats is not valid JSON"
 
 # Rolling reload: replica-by-replica, fleet keeps serving throughout.
 "$CTL" rolling-reload cluster.spec --ruleset hosp > reload.txt \

@@ -27,6 +27,7 @@
 #include "cluster/membership.h"
 #include "cluster/ring.h"
 #include "cluster/spec.h"
+#include "common/json.h"
 #include "common/latency_histogram.h"
 #include "data/csv.h"
 #include "gen/dataset.h"
@@ -202,9 +203,94 @@ TEST(EncodedHistogramTest, RejectsMalformedTokens) {
   EXPECT_FALSE(h.MergeEncoded("v1,1,2"));
   EXPECT_FALSE(h.MergeEncoded("v1,1,2,x"));
   EXPECT_FALSE(h.MergeEncoded("v1,1,2,3,99999=4"));  // bucket out of range
+  // Values above UINT64_MAX are rejected, not wrapped.
+  EXPECT_FALSE(h.MergeEncoded("v1,18446744073709551616,0,0"));
+  EXPECT_FALSE(h.MergeEncoded("v1,1,5,5,5=18446744073709551617"));
   EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.Encode(), "v1,0,0,0");
   EXPECT_TRUE(h.MergeEncoded("v1,0,0,0"));  // empty histogram is valid
   EXPECT_EQ(h.count(), 0u);
+}
+
+std::string RenderEntry(const serve::OpMetrics& m) {
+  JsonWriter w;
+  m.WriteJson(w);
+  return w.str();
+}
+
+/// A STATS-shaped document holding one "requests" entry.
+std::string StatsDoc(const std::string& op, const std::string& entry) {
+  return "{\"uptime_s\": 1.0, \"requests\": {\"PING\": {}, \"" + op +
+         "\": " + entry + "}, \"rulesets\": []}";
+}
+
+TEST(OpMetricsTest, WriteJsonRoundTripsThroughMergeJson) {
+  serve::OpMetrics one;
+  one.requests = 1;
+  one.latency_us.Record(5);
+  EXPECT_EQ(RenderEntry(one),
+            "{\"count\": 1, \"errors\": 0, \"rejected\": 0, "
+            "\"cancelled\": 0, \"deadline_exceeded\": 0, \"latency_us\": "
+            "{\"mean\": 5, \"p50\": 5, \"p95\": 5, \"p99\": 5, \"max\": 5}, "
+            "\"hist\": \"v1,1,5,5,5=1\"}");
+
+  serve::OpMetrics m;
+  m.requests = 7;
+  m.errors = 2;
+  m.rejected = 3;
+  m.cancelled = 1;
+  m.deadline_exceeded = 4;
+  for (uint64_t v : {3u, 40u, 900u, 123456u}) m.latency_us.Record(v);
+  serve::OpMetrics back;
+  Status merged = back.MergeJson(StatsDoc("CLEAN", RenderEntry(m)), "CLEAN");
+  ASSERT_TRUE(merged.ok()) << merged.ToString();
+  EXPECT_EQ(back.requests.load(), 7u);
+  EXPECT_EQ(back.errors.load(), 2u);
+  EXPECT_EQ(back.rejected.load(), 3u);
+  EXPECT_EQ(back.cancelled.load(), 1u);
+  EXPECT_EQ(back.deadline_exceeded.load(), 4u);
+  EXPECT_EQ(back.latency_us.Encode(), m.latency_us.Encode());
+  EXPECT_EQ(RenderEntry(back), RenderEntry(m));
+}
+
+TEST(OpMetricsTest, MergeJsonRejectsBadEntriesWithoutTouchingTheTarget) {
+  serve::OpMetrics target;
+  target.requests = 1;
+  target.latency_us.Record(5);
+  const std::string before = RenderEntry(target);
+  const auto entry = [](const std::string& count, const std::string& hist) {
+    return "{\"count\": " + count +
+           ", \"errors\": 1, \"rejected\": 0, \"cancelled\": 0, "
+           "\"deadline_exceeded\": 0, \"latency_us\": {\"max\": 7}, "
+           "\"hist\": \"" + hist + "\"}";
+  };
+  const std::string good = StatsDoc("CLEAN", entry("2", "v1,1,7,7,7=1"));
+
+  EXPECT_EQ(target.MergeJson(good, "DELTA").code(), StatusCode::kNotFound);
+  EXPECT_EQ(target.MergeJson("{\"uptime_s\": 1.0}", "CLEAN").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(target.MergeJson(StatsDoc("CLEAN", "{\"errors\": 1}"), "CLEAN")
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(target
+                .MergeJson(StatsDoc("CLEAN", entry("18446744073709551616",
+                                                   "v1,1,7,7,7=1")),
+                           "CLEAN")
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(target.MergeJson(StatsDoc("CLEAN", entry("-1", "v1,1,7,7,7=1")),
+                             "CLEAN")
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(target.MergeJson(StatsDoc("CLEAN", entry("2", "v1,1,7")), "CLEAN")
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(RenderEntry(target), before);
+
+  ASSERT_TRUE(target.MergeJson(good, "CLEAN").ok());
+  EXPECT_EQ(target.requests.load(), 3u);
+  EXPECT_EQ(target.errors.load(), 1u);
+  EXPECT_EQ(target.latency_us.Encode(), "v1,2,12,7,5=1,7=1");
 }
 
 // ---------------------------------------------------------------------------
@@ -599,31 +685,19 @@ TEST(ClusterRoutingTest, MergedStatsSumPerReplicaCounters) {
 
   // Daemon::StatsJson() reads the metrics in-process — no wire STATS, so
   // collecting the per-replica truth does not perturb any counter.
-  uint64_t expect_count = 0, expect_errors = 0;
-  LatencyHistogram expect_hist;
+  serve::OpMetrics expect;
   for (const auto& daemon : w->daemons) {
-    const std::string doc = daemon->StatsJson();
-    auto count = StatsOpCounter(doc, "CLEAN", "count");
-    ASSERT_TRUE(count.ok()) << count.status().ToString();
-    expect_count += *count;
-    auto errors = StatsOpCounter(doc, "CLEAN", "errors");
-    ASSERT_TRUE(errors.ok());
-    expect_errors += *errors;
-    auto hist = StatsOpHist(doc, "CLEAN");
-    ASSERT_TRUE(hist.ok());
-    ASSERT_TRUE(expect_hist.MergeEncoded(*hist));
+    Status merged_in = expect.MergeJson(daemon->StatsJson(), "CLEAN");
+    ASSERT_TRUE(merged_in.ok()) << merged_in.ToString();
   }
-  ASSERT_GE(expect_count, 4u);
+  ASSERT_GE(expect.requests.load(), 4u);
 
-  auto merged_count = StatsOpCounter(*merged, "CLEAN", "count");
-  ASSERT_TRUE(merged_count.ok()) << merged_count.status().ToString();
-  EXPECT_EQ(*merged_count, expect_count);
-  auto merged_errors = StatsOpCounter(*merged, "CLEAN", "errors");
-  ASSERT_TRUE(merged_errors.ok());
-  EXPECT_EQ(*merged_errors, expect_errors);
-  auto merged_hist = StatsOpHist(*merged, "CLEAN");
-  ASSERT_TRUE(merged_hist.ok());
-  EXPECT_EQ(*merged_hist, expect_hist.Encode());
+  serve::OpMetrics fleet;
+  Status parsed = fleet.MergeJson(*merged, "CLEAN");
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+  EXPECT_EQ(fleet.requests.load(), expect.requests.load());
+  EXPECT_EQ(fleet.errors.load(), expect.errors.load());
+  EXPECT_EQ(fleet.latency_us.Encode(), expect.latency_us.Encode());
   // The cluster envelope reports the fleet.
   EXPECT_NE(merged->find("\"cluster\""), std::string::npos);
   EXPECT_NE(merged->find("\"replicas\": 3"), std::string::npos);

@@ -1,6 +1,9 @@
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -8,6 +11,7 @@
 
 #include "common/result.h"
 #include "common/cancellation.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -225,15 +229,73 @@ TEST(StringUtilTest, ToLowerAndStartsWith) {
   EXPECT_FALSE(StartsWith("ed", "edi"));
 }
 
-TEST(StringUtilTest, JsonEscapeQuotesBackslashesAndControlBytes) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("r\"1"), "r\\\"1");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("\n\r\t"), "\\n\\r\\t");
-  EXPECT_EQ(JsonEscape(std::string("\x01\x1f\0", 3)),
-            "\\u0001\\u001f\\u0000");
+std::string JsonString(std::string_view v) {
+  JsonWriter w;
+  w.String(v);
+  return w.str();
+}
+
+TEST(JsonWriterTest, StringEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(JsonString("plain"), "\"plain\"");
+  EXPECT_EQ(JsonString("r\"1"), "\"r\\\"1\"");
+  EXPECT_EQ(JsonString("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(JsonString("\n\r\t"), "\"\\n\\r\\t\"");
+  EXPECT_EQ(JsonString(std::string("\x01\x1f\0", 3)),
+            "\"\\u0001\\u001f\\u0000\"");
   // Bytes from 0x20 up, UTF-8 included, pass through.
-  EXPECT_EQ(JsonEscape(" ~\xc3\xa9\x7f"), " ~\xc3\xa9\x7f");
+  EXPECT_EQ(JsonString(" ~\xc3\xa9\x7f"), "\" ~\xc3\xa9\x7f\"");
+  // Keys are escaped too.
+  JsonWriter w;
+  w.BeginObject().Key("k\"").Null().EndObject();
+  EXPECT_EQ(w.str(), "{\"k\\\"\": null}");
+}
+
+TEST(JsonWriterTest, EmptyContainers) {
+  JsonWriter w;
+  w.BeginObject().Key("o").BeginObject().EndObject();
+  w.Key("a").BeginArray().EndArray().EndObject();
+  EXPECT_EQ(w.str(), "{\"o\": {}, \"a\": []}");
+  JsonWriter top;
+  top.BeginArray().EndArray();
+  EXPECT_EQ(top.str(), "[]");
+}
+
+TEST(JsonWriterTest, NestedObjectsAndScalars) {
+  JsonWriter w;
+  w.BeginObject()
+      .Key("n").Int(-42)
+      .Key("u").Uint(18446744073709551615ull)
+      .Key("in").BeginObject().Key("t").Bool(true).Key("f").Bool(false)
+      .EndObject()
+      .Key("d").Double(0.5, 6)
+      .Key("r").Raw("{\"x\": 1}")
+      .EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"n\": -42, \"u\": 18446744073709551615, "
+            "\"in\": {\"t\": true, \"f\": false}, \"d\": 0.500000, "
+            "\"r\": {\"x\": 1}}");
+}
+
+TEST(JsonWriterTest, DoubleKeepsDecimalsAndNonFiniteIsNull) {
+  JsonWriter w;
+  w.BeginArray()
+      .Double(1.5, 1)
+      .Double(-3.14159, 4)
+      .Double(std::nan(""), 6)
+      .Double(std::numeric_limits<double>::infinity(), 6)
+      .EndArray();
+  EXPECT_EQ(w.str(), "[1.5, -3.1416, null, null]");
+}
+
+TEST(JsonWriterTest, ObjectArrayElementsStartOnANewLine) {
+  JsonWriter w;
+  w.BeginObject().Key("results").BeginArray();
+  w.BeginObject().Key("a").Int(1).EndObject();
+  w.BeginObject().Key("a").Int(2).EndObject();
+  w.EndArray().Key("xs").BeginArray().Int(1).Int(2).EndArray().EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"results\": [\n{\"a\": 1},\n{\"a\": 2}], "
+            "\"xs\": [1, 2]}");
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

@@ -9,7 +9,9 @@
 # journal. A second daemon with a tiny --max-queue then
 # takes concurrent clients: the excess are rejected kUnavailable with a
 # retry-after hint and --max-retries backoff drives every one of them to a
-# byte-identical journal. Driven by CTest and by the CI serve-smoke job.
+# byte-identical journal; that daemon's STATS document and every line of its
+# request log must parse as JSON. Driven by CTest and by the CI serve-smoke
+# job.
 #
 # usage: serve_smoke_test.sh CLI SAMPLER DAEMON CLIENT WORK_DIR
 set -u
@@ -165,6 +167,10 @@ for i in $(seq 1 "$N_CLIENTS"); do
     || fail "overloaded client $i journal differs from the in-process run"
 done
 
+# STATS is one well-formed JSON document.
+"$CLIENT" --port-file port.txt --stats > stats.json || fail "client stats"
+python3 -m json.tool stats.json >/dev/null || fail "STATS is not valid JSON"
+
 kill -TERM "$DAEMON_PID" || fail "SIGTERM (overload daemon)"
 DRAIN_OK=
 for _ in $(seq 1 300); do
@@ -185,6 +191,10 @@ grep -q '"status": "Unavailable"' requests.log \
   || fail "request log has no Unavailable rejection line"
 grep -q '"status": "OK"' requests.log \
   || fail "request log has no successful request line"
+python3 -c 'import json, sys
+for line in open(sys.argv[1]):
+    json.loads(line)' requests.log \
+  || fail "a request log line is not valid JSON"
 
 echo "serve_smoke_test: PASS (journals byte-identical, graceful drain," \
      "snapshot warm restart, overload rejected + retried to success)"

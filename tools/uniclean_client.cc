@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
                    json.status().ToString().c_str());
       return 3;
     }
-    std::fputs(json->c_str(), stdout);
+    std::puts(json->c_str());
   }
   return 0;
 }

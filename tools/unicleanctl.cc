@@ -343,7 +343,7 @@ int CmdStats(const cluster::ClusterSpec& spec) {
                  merged.status().ToString().c_str());
     return 3;
   }
-  std::fputs(merged->c_str(), stdout);
+  std::puts(merged->c_str());
   return 0;
 }
 
