@@ -11,7 +11,9 @@
 // Probes are serve::Client::PingEx round trips under an IO timeout: a
 // single cheap opcode yields liveness, instantaneous load (in-flight +
 // queued) and per-ruleset engine fingerprints (the rolling-reload
-// verification signal). Two probe styles share the same state machine:
+// verification signal). A pong whose trailer does not decode fails
+// PingEx with Corruption and counts as a failed probe. Two probe styles
+// share the same state machine:
 //
 //  * Start()/Stop() run a background prober thread at `probe_interval_ms`
 //    (what unicleanctl status and long-lived routers use);

@@ -1,10 +1,10 @@
 #include "cluster/spec.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "common/string_util.h"
 
 namespace uniclean {
 namespace cluster {
@@ -22,20 +22,12 @@ std::vector<std::string> SplitWords(const std::string& line) {
   return words;
 }
 
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
+/// Spec counts are positive and capped, so a typo cannot drive a huge ring
+/// or worker allocation.
+bool ParsePositiveCount(const std::string& s, int* out) {
+  int v = 0;
+  if (!ParseNumber(s, &v) || v < 1 || v > (1 << 20)) return false;
   *out = v;
-  return true;
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  uint64_t v = 0;
-  if (!ParseU64(s, &v) || v > 1u << 20) return false;
-  *out = static_cast<int>(v);
   return true;
 }
 
@@ -56,26 +48,24 @@ Result<ClusterSpec> ClusterSpec::Parse(const std::string& text) {
                                      std::to_string(lineno) + ": " + why);
     };
     if (key == "replication") {
-      if (words.size() != 2 || !ParseInt(words[1], &spec.replication) ||
-          spec.replication < 1) {
+      if (words.size() != 2 ||
+          !ParsePositiveCount(words[1], &spec.replication)) {
         return fail("replication expects a positive integer");
       }
     } else if (key == "vnodes") {
       if (words.size() != 2 ||
-          !ParseInt(words[1], &spec.ring.vnodes_per_replica) ||
-          spec.ring.vnodes_per_replica < 1) {
+          !ParsePositiveCount(words[1], &spec.ring.vnodes_per_replica)) {
         return fail("vnodes expects a positive integer");
       }
     } else if (key == "seed") {
-      if (words.size() != 2 || !ParseU64(words[1], &spec.ring.seed)) {
+      if (words.size() != 2 || !ParseNumber(words[1], &spec.ring.seed)) {
         return fail("seed expects an unsigned integer");
       }
     } else if (key == "snapshot-dir") {
       if (words.size() != 2) return fail("snapshot-dir expects one path");
       spec.snapshot_dir = words[1];
     } else if (key == "workers") {
-      if (words.size() != 2 || !ParseInt(words[1], &spec.workers) ||
-          spec.workers < 1) {
+      if (words.size() != 2 || !ParsePositiveCount(words[1], &spec.workers)) {
         return fail("workers expects a positive integer");
       }
     } else if (key == "replica") {

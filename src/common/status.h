@@ -11,7 +11,9 @@
 
 namespace uniclean {
 
-/// Machine-readable category of a Status.
+/// Machine-readable category of a Status. The numeric values are the wire
+/// error codes (serve/wire.h), so new codes go after kDataLoss, and
+/// serve::StatusFromWire's upper bound moves with them.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
@@ -36,6 +38,11 @@ class Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
+  /// A status of `code`, for callers that carry the code as data (the wire
+  /// error byte, ByteReader's short-read code). The named factories below
+  /// are the usual spelling.
+  Status(StatusCode code, std::string msg)
+      : code_(code), message_(std::move(msg)) {}
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -105,9 +112,6 @@ class Status {
   }
 
  private:
-  Status(StatusCode code, std::string msg)
-      : code_(code), message_(std::move(msg)) {}
-
   StatusCode code_;
   std::string message_;
 };

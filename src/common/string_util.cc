@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 namespace uniclean {
 
@@ -45,6 +47,33 @@ std::string ToLower(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+namespace {
+
+template <typename T>
+bool ParseWhole(std::string_view s, T* out) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || ptr != end) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
+bool ParseNumber(std::string_view s, int* out) { return ParseWhole(s, out); }
+
+bool ParseNumber(std::string_view s, uint64_t* out) {
+  return ParseWhole(s, out);
+}
+
+bool ParseNumber(std::string_view s, double* out) {
+  double v = 0.0;
+  if (!ParseWhole(s, &v) || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
 }
 
 }  // namespace uniclean

@@ -7,6 +7,8 @@
 #include <thread>
 #include <utility>
 
+#include "serve/safe_csv.h"
+
 namespace uniclean {
 namespace serve {
 
@@ -119,14 +121,12 @@ Result<Frame> Client::ReadTerminal(uint32_t tag, Op expect,
         if (data) *data += frame.body;
         continue;
       case Op::kError: {
-        BodyReader body(frame.body);
+        ByteReader body(frame.body, StatusCode::kCorruption);
         UC_ASSIGN_OR_RETURN(uint8_t code, body.U8());
-        UC_ASSIGN_OR_RETURN(std::string message, body.Lp());
-        // Optional trailer (absent in pre-deadline daemons): the backoff
-        // hint for kUnavailable rejections.
-        last_retry_after_ms_ =
-            body.remaining() >= 4 ? body.U32().value() : 0;
-        return StatusFromWire(code, std::move(message));
+        UC_ASSIGN_OR_RETURN(std::string_view message, body.Lp());
+        last_retry_after_ms_ = 0;
+        UC_ASSIGN_OR_RETURN(last_retry_after_ms_, body.U32());
+        return StatusFromWire(code, std::string(message));
       }
       default:
         if (frame.op != expect) {
@@ -154,24 +154,15 @@ Result<PingInfo> Client::PingEx() {
   UC_ASSIGN_OR_RETURN(Frame frame,
                       ReadTerminal(tag, Op::kPong, nullptr, nullptr));
   PingInfo info;
-  // Best-effort trailer parse: a pre-trailer daemon echoes the raw payload,
-  // which won't decode as the structured layout — that is still a healthy
-  // pong, just without load/fingerprint data.
-  BodyReader body(frame.body);
-  Result<std::string> echo = body.Lp();
-  if (!echo.ok()) return info;
-  Result<uint32_t> inflight = body.U32();
-  Result<uint32_t> queued = inflight.ok() ? body.U32() : inflight;
-  Result<uint32_t> count = queued.ok() ? body.U32() : queued;
-  if (!count.ok()) return info;
-  info.inflight = inflight.value();
-  info.queued = queued.value();
-  for (uint32_t i = 0; i < count.value(); ++i) {
-    Result<std::string> name = body.Lp();
-    if (!name.ok()) break;
-    Result<uint64_t> fingerprint = body.U64();
-    if (!fingerprint.ok()) break;
-    info.rulesets.emplace_back(std::move(name).value(), fingerprint.value());
+  ByteReader body(frame.body, StatusCode::kCorruption);
+  UC_RETURN_IF_ERROR(body.Lp().status());  // the echo
+  UC_ASSIGN_OR_RETURN(info.inflight, body.U32());
+  UC_ASSIGN_OR_RETURN(info.queued, body.U32());
+  UC_ASSIGN_OR_RETURN(uint32_t count, body.U32());
+  for (uint32_t i = 0; i < count; ++i) {
+    UC_ASSIGN_OR_RETURN(std::string_view name, body.Lp());
+    UC_ASSIGN_OR_RETURN(uint64_t fingerprint, body.U64());
+    info.rulesets.emplace_back(std::string(name), fingerprint);
   }
   return info;
 }
@@ -195,7 +186,7 @@ Result<CleanReply> Client::AwaitClean(uint32_t tag) {
   UC_ASSIGN_OR_RETURN(Frame frame,
                       ReadTerminal(tag, Op::kCleanDone, &reply.journal_csv,
                                    &reply.data_csv));
-  BodyReader body(frame.body);
+  ByteReader body(frame.body, StatusCode::kCorruption);
   UC_ASSIGN_OR_RETURN(reply.session_id, body.U64());
   UC_ASSIGN_OR_RETURN(reply.total_fixes, body.U32());
   UC_ASSIGN_OR_RETURN(reply.journal_entries, body.U32());
@@ -239,24 +230,13 @@ Result<DeltaReply> Client::AwaitDelta(uint32_t tag) {
   UC_ASSIGN_OR_RETURN(Frame frame,
                       ReadTerminal(tag, Op::kDeltaDone, &reply.journal_csv,
                                    nullptr));
-  BodyReader done(frame.body);
+  ByteReader done(frame.body, StatusCode::kCorruption);
   UC_ASSIGN_OR_RETURN(reply.generation, done.U32());
   UC_ASSIGN_OR_RETURN(reply.affected, done.U32());
   UC_ASSIGN_OR_RETURN(reply.refinement_rounds, done.U32());
   UC_ASSIGN_OR_RETURN(reply.total_fixes, done.U32());
-  UC_ASSIGN_OR_RETURN(std::string inserted, done.Lp());
-  std::string line;
-  for (char c : inserted) {
-    if (c == '\n') {
-      if (!line.empty()) {
-        reply.inserted_ids.push_back(
-            static_cast<data::TupleId>(std::stoul(line)));
-      }
-      line.clear();
-    } else {
-      line.push_back(c);
-    }
-  }
+  UC_ASSIGN_OR_RETURN(std::string_view inserted, done.Lp());
+  UC_ASSIGN_OR_RETURN(reply.inserted_ids, ParseIdList(inserted));
   return reply;
 }
 
@@ -279,8 +259,10 @@ Result<uint32_t> Client::SendReload(const std::string& ruleset) {
 Result<std::string> Client::AwaitReload(uint32_t tag) {
   UC_ASSIGN_OR_RETURN(Frame frame,
                       ReadTerminal(tag, Op::kOk, nullptr, nullptr));
-  BodyReader body(frame.body);
-  return body.Lp();
+  UC_ASSIGN_OR_RETURN(
+      std::string_view message,
+      ByteReader(frame.body, StatusCode::kCorruption).Lp());
+  return std::string(message);
 }
 
 Result<std::string> Client::Reload(const std::string& ruleset) {

@@ -131,8 +131,9 @@ class Client {
 
   /// Round-trips an opaque payload through kPing/kPong.
   Status Ping();
-  /// Ping, returning the daemon's load + fingerprint trailer. A pre-trailer
-  /// daemon (plain echo) yields a default PingInfo rather than an error.
+  /// Ping, returning the daemon's load + fingerprint trailer. The trailer
+  /// is required: a bare echo or a truncated trailer fails with
+  /// Corruption, which the cluster prober counts as a failed probe.
   Result<PingInfo> PingEx();
   Result<CleanReply> Clean(const CleanRequest& request);
   Result<DeltaReply> Delta(const DeltaRequest& request);

@@ -13,6 +13,7 @@
 #define UNICLEAN_SERVE_SAFE_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -26,7 +27,7 @@ namespace serve {
 /// relation. Fails with InvalidArgument on malformed CSV, a missing or
 /// mismatched header or an arity mismatch, and OutOfRange on pool
 /// exhaustion.
-Result<data::Relation> ParseRelationCsv(const std::string& csv_text,
+Result<data::Relation> ParseRelationCsv(std::string_view csv_text,
                                         data::SchemaPtr schema);
 
 /// Parses a CSV of rows shaped like `schema` into tuples (same cell
@@ -34,19 +35,20 @@ Result<data::Relation> ParseRelationCsv(const std::string& csv_text,
 /// document (expect_header = true, validated against the schema); delta
 /// update rows are header-less, index-aligned with their id list
 /// (expect_header = false).
-Result<std::vector<data::Tuple>> ParseTupleRows(const std::string& csv_text,
+Result<std::vector<data::Tuple>> ParseTupleRows(std::string_view csv_text,
                                                 const data::SchemaPtr& schema,
                                                 bool expect_header);
 
 /// Applies a confidence CSV (same shape as the relation, header row
 /// required) to `*relation`: every cell must parse as a number in [0, 1].
 /// Fails with InvalidArgument on any malformed input.
-Status ApplyConfidenceCsv(const std::string& csv_text,
-                          data::Relation* relation);
+Status ApplyConfidenceCsv(std::string_view csv_text, data::Relation* relation);
 
 /// Parses a newline-separated list of non-negative decimal tuple ids
-/// (blank lines ignored). Fails with InvalidArgument on anything else.
-Result<std::vector<data::TupleId>> ParseIdList(const std::string& text);
+/// (blank lines and a trailing '\r' ignored; each id is one ParseNumber
+/// token). Fails with InvalidArgument on anything else. Both directions of
+/// the wire use it: DELTA update/delete ids and DELTA_DONE inserted ids.
+Result<std::vector<data::TupleId>> ParseIdList(std::string_view text);
 
 }  // namespace serve
 }  // namespace uniclean

@@ -563,7 +563,7 @@ void Daemon::RecordLatency(Work& work) {
       work.done_us - work.enqueue_us);
 }
 
-Result<Daemon::EngineEntry*> Daemon::FindRuleset(const std::string& name) {
+Result<Daemon::EngineEntry*> Daemon::FindRuleset(std::string_view name) {
   if (name.empty()) {
     if (engines_.size() == 1) return engines_.front().get();
     return Status::InvalidArgument(
@@ -573,7 +573,7 @@ Result<Daemon::EngineEntry*> Daemon::FindRuleset(const std::string& name) {
   for (const auto& entry : engines_) {
     if (entry->cfg.name == name) return entry.get();
   }
-  return Status::NotFound("unknown ruleset '" + name + "'");
+  return Status::NotFound("unknown ruleset '" + std::string(name) + "'");
 }
 
 Status Daemon::StreamChunks(Work& work, Op op, const std::string& text) {
@@ -614,11 +614,11 @@ struct InflightGuard {
 Status Daemon::HandleClean(Work& work) {
   Conn& conn = *work.conn;
   const Frame& frame = work.frame;
-  BodyReader body(frame.body);
+  ByteReader body(frame.body, StatusCode::kCorruption);
   UC_ASSIGN_OR_RETURN(uint8_t flags, body.U8());
-  UC_ASSIGN_OR_RETURN(std::string ruleset, body.Lp());
-  UC_ASSIGN_OR_RETURN(std::string data_csv, body.Lp());
-  UC_ASSIGN_OR_RETURN(std::string confidence_csv, body.Lp());
+  UC_ASSIGN_OR_RETURN(std::string_view ruleset, body.Lp());
+  UC_ASSIGN_OR_RETURN(std::string_view data_csv, body.Lp());
+  UC_ASSIGN_OR_RETURN(std::string_view confidence_csv, body.Lp());
 
   UC_ASSIGN_OR_RETURN(EngineEntry * entry, FindRuleset(ruleset));
   work.ruleset = entry->cfg.name;
@@ -704,12 +704,12 @@ Status Daemon::HandleClean(Work& work) {
 Status Daemon::HandleDelta(Work& work) {
   Conn& conn = *work.conn;
   const Frame& frame = work.frame;
-  BodyReader body(frame.body);
+  ByteReader body(frame.body, StatusCode::kCorruption);
   UC_ASSIGN_OR_RETURN(uint64_t session_id, body.U64());
-  UC_ASSIGN_OR_RETURN(std::string inserts_csv, body.Lp());
-  UC_ASSIGN_OR_RETURN(std::string update_ids_text, body.Lp());
-  UC_ASSIGN_OR_RETURN(std::string updates_csv, body.Lp());
-  UC_ASSIGN_OR_RETURN(std::string delete_ids_text, body.Lp());
+  UC_ASSIGN_OR_RETURN(std::string_view inserts_csv, body.Lp());
+  UC_ASSIGN_OR_RETURN(std::string_view update_ids_text, body.Lp());
+  UC_ASSIGN_OR_RETURN(std::string_view updates_csv, body.Lp());
+  UC_ASSIGN_OR_RETURN(std::string_view delete_ids_text, body.Lp());
 
   std::shared_ptr<ServeSession> session;
   {
@@ -789,8 +789,8 @@ Status Daemon::HandleStats(Work& work) {
 
 Status Daemon::HandleReload(Work& work) {
   const Frame& frame = work.frame;
-  BodyReader body(frame.body);
-  UC_ASSIGN_OR_RETURN(std::string name, body.Lp());
+  ByteReader body(frame.body, StatusCode::kCorruption);
+  UC_ASSIGN_OR_RETURN(std::string_view name, body.Lp());
   std::vector<EngineEntry*> targets;
   if (name.empty()) {
     for (const auto& entry : engines_) targets.push_back(entry.get());
@@ -829,7 +829,7 @@ Status Daemon::HandleReload(Work& work) {
 Status Daemon::HandleCloseSession(Work& work) {
   Conn& conn = *work.conn;
   const Frame& frame = work.frame;
-  BodyReader body(frame.body);
+  ByteReader body(frame.body, StatusCode::kCorruption);
   UC_ASSIGN_OR_RETURN(uint64_t session_id, body.U64());
   {
     std::lock_guard<std::mutex> lock(conn.sessions_mu);
@@ -848,8 +848,8 @@ void Daemon::HandleCancelInline(Conn& conn, const Frame& frame) {
   OpMetrics& metrics = op_metrics_[static_cast<int>(Op::kCancel)];
   metrics.requests.fetch_add(1, std::memory_order_relaxed);
   const uint64_t t0 = NowUs();
-  BodyReader body(frame.body);
-  Result<uint32_t> target = body.U32();
+  Result<uint32_t> target =
+      ByteReader(frame.body, StatusCode::kCorruption).U32();
   if (!target.ok()) {
     metrics.errors.fetch_add(1, std::memory_order_relaxed);
     WriteError(conn, frame.tag, target.status());

@@ -17,8 +17,9 @@
 //    CLOSE_SESSION or with their connection — a client that disconnects
 //    mid-stream leaks nothing.
 //
-//  * Hardened ingestion — wire bodies decode through BodyReader and
-//    client CSV through the library's data::ReadCsv / ReadConfidenceCsv
+//  * Hardened ingestion — wire bodies decode through common/bytes.h's
+//    ByteReader (a short read is Corruption) and client CSV through the
+//    library's data::ReadCsv / ReadConfidenceCsv
 //    (which intern via StringPool::TryIntern and never abort), with
 //    serve/safe_csv.h mapping their errors onto the wire contract. A
 //    malformed, oversized or pool-exhausting request yields a kError
@@ -284,7 +285,7 @@ class Daemon {
   void LogRequest(const Work& work, uint64_t run_us, const Status& status);
 
   /// Resolves a ruleset by name ("" = the sole configured one).
-  Result<EngineEntry*> FindRuleset(const std::string& name);
+  Result<EngineEntry*> FindRuleset(std::string_view name);
   /// Builds a fresh engine from `cfg` (reload path re-reads the files).
   /// With a non-empty `snapshot_path`, tries EngineBuilder::FromSnapshot
   /// first and falls back to the cold build on any snapshot failure (the

@@ -62,74 +62,6 @@ bool IsRequestOp(uint8_t op) {
          op <= static_cast<uint8_t>(Op::kCancel);
 }
 
-// --- body encoding ---------------------------------------------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutLp(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-Result<uint8_t> BodyReader::U8() {
-  if (remaining() < 1) return Status::Corruption("frame body: truncated u8");
-  return static_cast<uint8_t>(body_[pos_++]);
-}
-
-Result<uint32_t> BodyReader::U32() {
-  if (remaining() < 4) return Status::Corruption("frame body: truncated u32");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(body_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> BodyReader::U64() {
-  if (remaining() < 8) return Status::Corruption("frame body: truncated u64");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(body_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<std::string> BodyReader::Lp() {
-  UC_ASSIGN_OR_RETURN(uint32_t len, U32());
-  if (remaining() < len) {
-    return Status::Corruption(
-        "frame body: lp string declares " + std::to_string(len) +
-        " bytes but only " + std::to_string(remaining()) + " remain");
-  }
-  std::string s = body_.substr(pos_, len);
-  pos_ += len;
-  return s;
-}
-
-std::string BodyReader::Rest() {
-  std::string s = body_.substr(pos_);
-  pos_ = body_.size();
-  return s;
-}
-
 // --- framed connection -----------------------------------------------------
 
 FrameChannel::~FrameChannel() {
@@ -180,10 +112,8 @@ Result<Frame> FrameChannel::ReadFrame() {
   bool clean_eof = false;
   UC_RETURN_IF_ERROR(ReadExact(header, 4, &clean_eof));
   if (clean_eof) return Status::NotFound("peer closed the connection");
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(header[i])) << (8 * i);
-  }
+  const uint32_t len =
+      ByteReader({header, 4}, StatusCode::kCorruption).U32().value();
   if (len < kMinFramePayload) {
     return Status::Corruption("frame declares undersized payload (" +
                               std::to_string(len) + " bytes)");
@@ -195,15 +125,21 @@ Result<Frame> FrameChannel::ReadFrame() {
                               std::to_string(len) + " bytes, cap " +
                               std::to_string(kMaxFramePayload) + ")");
   }
-  std::string payload(len, '\0');
-  UC_RETURN_IF_ERROR(ReadExact(payload.data(), len, &clean_eof));
-  if (clean_eof) return Status::Corruption("connection closed mid-frame");
+  // The fixed prefix and the body land in separate buffers, so the body is
+  // read straight into the frame instead of being copied out of a payload.
+  char prefix[kMinFramePayload];
   Frame frame;
-  BodyReader prefix(payload);
-  frame.tag = prefix.U32().value();  // len >= 9 guarantees these three
-  frame.op = static_cast<Op>(prefix.U8().value());
-  frame.deadline_ms = prefix.U32().value();
-  frame.body = prefix.Rest();
+  frame.body.resize(len - kMinFramePayload);
+  UC_RETURN_IF_ERROR(ReadExact(prefix, kMinFramePayload, &clean_eof));
+  if (!clean_eof) {
+    UC_RETURN_IF_ERROR(
+        ReadExact(frame.body.data(), frame.body.size(), &clean_eof));
+  }
+  if (clean_eof) return Status::Corruption("connection closed mid-frame");
+  ByteReader r({prefix, kMinFramePayload}, StatusCode::kCorruption);
+  frame.tag = r.U32().value();  // the prefix holds exactly these three
+  frame.op = static_cast<Op>(r.U8().value());
+  frame.deadline_ms = r.U32().value();
   return frame;
 }
 
@@ -243,36 +179,12 @@ uint8_t WireErrorCode(const Status& status) {
 }
 
 Status StatusFromWire(uint8_t code, std::string message) {
-  switch (static_cast<StatusCode>(code)) {
-    case StatusCode::kOk:
-      return Status::OK();
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(std::move(message));
-    case StatusCode::kNotFound:
-      return Status::NotFound(std::move(message));
-    case StatusCode::kCorruption:
-      return Status::Corruption(std::move(message));
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange(std::move(message));
-    case StatusCode::kFailedPrecondition:
-      return Status::FailedPrecondition(std::move(message));
-    case StatusCode::kUnimplemented:
-      return Status::Unimplemented(std::move(message));
-    case StatusCode::kInternal:
-      return Status::Internal(std::move(message));
-    case StatusCode::kResourceExhausted:
-      return Status::ResourceExhausted(std::move(message));
-    case StatusCode::kDeadlineExceeded:
-      return Status::DeadlineExceeded(std::move(message));
-    case StatusCode::kCancelled:
-      return Status::Cancelled(std::move(message));
-    case StatusCode::kUnavailable:
-      return Status::Unavailable(std::move(message));
-    case StatusCode::kDataLoss:
-      return Status::DataLoss(std::move(message));
+  if (code == 0) return Status::OK();
+  if (code > static_cast<uint8_t>(StatusCode::kDataLoss)) {
+    return Status::Internal("unknown wire error code " +
+                            std::to_string(code) + ": " + message);
   }
-  return Status::Internal("unknown wire error code " + std::to_string(code) +
-                          ": " + message);
+  return Status(static_cast<StatusCode>(code), std::move(message));
 }
 
 // --- sockets ---------------------------------------------------------------

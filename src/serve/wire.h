@@ -20,9 +20,11 @@
 // connection pipeline requests; chunks of a single tag arrive in order.
 //
 // Body primitives: u8 / u32 / u64 little-endian, and "lp" strings — a u32
-// byte length followed by the raw bytes. Every declared length is validated
-// against the remaining payload, so a malformed body yields a Corruption
-// error, never an out-of-bounds read.
+// byte length followed by the raw bytes — written and read by the shared
+// codec in common/bytes.h. Bodies decode through a ByteReader built with
+// StatusCode::kCorruption: every declared length is validated against the
+// remaining payload, so a malformed body yields a Corruption error, never
+// an out-of-bounds read.
 //
 // Request bodies:
 //   kPing      arbitrary bytes (echoed back inside kPong)
@@ -48,8 +50,8 @@
 //               u32 queued requests, u32 ruleset count, then per ruleset
 //               lp name + u64 engine fingerprint. The trailer is what lets
 //               the cluster layer health-probe and fingerprint replicas
-//               with a single cheap opcode; readers facing a pre-cluster
-//               daemon fall back to treating the whole body as the echo
+//               with a single cheap opcode; it is required, and a missing
+//               or truncated trailer is a Corruption error
 //   kJournalChunk / kDataChunk  raw CSV bytes (concatenate per tag)
 //   kCleanDone  u64 session id (0 = untracked), u32 total fixes,
 //               u32 journal entries, lp phase summary text
@@ -64,9 +66,8 @@
 //               10 = Cancelled, 11 = Unavailable, 12 = DataLoss),
 //               lp message,
 //               u32 retry_after_ms (backoff hint; non-zero only with
-//               Unavailable — wait at least this long before retrying.
-//               Absent in pre-deadline peers; readers treat a missing
-//               trailer as 0)
+//               Unavailable — wait at least this long before retrying;
+//               required)
 //
 // Everything here is transport plumbing shared by the daemon and the
 // client; policy (what CLEAN does) lives in server.h.
@@ -77,6 +78,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/bytes.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -133,33 +135,10 @@ struct Frame {
   std::string body;
 };
 
-// --- body encoding helpers -------------------------------------------------
-
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-/// Appends a length-prefixed string (u32 length + bytes).
-void PutLp(std::string* out, std::string_view s);
-
-/// Sequential body decoder; every getter validates against the remaining
-/// bytes and fails with Corruption instead of reading out of bounds.
-class BodyReader {
- public:
-  explicit BodyReader(const std::string& body) : body_(body) {}
-
-  Result<uint8_t> U8();
-  Result<uint32_t> U32();
-  Result<uint64_t> U64();
-  /// Reads a length-prefixed string.
-  Result<std::string> Lp();
-  /// The not-yet-consumed tail of the body.
-  std::string Rest();
-  size_t remaining() const { return body_.size() - pos_; }
-
- private:
-  const std::string& body_;
-  size_t pos_ = 0;
-};
+// The body encoders of common/bytes.h under their serve:: names, which the
+// benchmark package (perfbench/) spells when it builds CLEAN bodies.
+using ::uniclean::PutLp;
+using ::uniclean::PutU8;
 
 // --- framed connection -----------------------------------------------------
 

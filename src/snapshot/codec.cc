@@ -51,16 +51,16 @@ void AppendWords(std::string* out, const std::vector<T>& v) {
 }
 
 template <typename T>
-Status ReadWords(Reader* r, size_t count, std::vector<T>* out) {
+Status ReadWords(ByteReader* r, size_t count, std::vector<T>* out) {
   static_assert(sizeof(T) % 4 == 0, "element must be whole 4-byte words");
   if (count == 0) {
     out->clear();
     return Status::OK();
   }
   const size_t bytes = count * sizeof(T);
-  UC_ASSIGN_OR_RETURN(const char* p, r->Raw(bytes));
+  UC_ASSIGN_OR_RETURN(std::string_view block, r->Raw(bytes));
   out->resize(count);
-  std::memcpy(out->data(), p, bytes);
+  std::memcpy(out->data(), block.data(), bytes);
   if (!kHostLittleEndian) {
     auto* words = reinterpret_cast<uint32_t*>(out->data());
     for (size_t i = 0; i < bytes / 4; ++i) {
@@ -76,7 +76,7 @@ Status ReadWords(Reader* r, size_t count, std::vector<T>* out) {
 /// Ascending-strict matches what every cold build produces (equality index
 /// buckets, match lists, blocking candidates are all sorted unique), so
 /// enforcing it here both validates and pins cold/warm parity.
-Status ReadTupleIdList(Reader* r, uint32_t master_size,
+Status ReadTupleIdList(ByteReader* r, uint32_t master_size,
                        std::vector<data::TupleId>* out) {
   UC_ASSIGN_OR_RETURN(uint32_t n, r->U32());
   if (n > master_size) return Inconsistent("tuple list longer than master");
@@ -115,7 +115,7 @@ void PutGroupKey(std::string* out, const data::GroupKey& key) {
 /// Reads a GroupKey of exactly `want_parts` parts; each part must be an id
 /// below `pool_size` or the null sentinel (data-side projections may hold
 /// nulls).
-Result<data::GroupKey> ReadGroupKey(Reader* r, size_t want_parts,
+Result<data::GroupKey> ReadGroupKey(ByteReader* r, size_t want_parts,
                                     uint64_t pool_size) {
   UC_ASSIGN_OR_RETURN(uint8_t n, r->U8());
   if (n != want_parts || n > data::GroupKey::kMaxParts) {
@@ -256,7 +256,7 @@ void Codec::AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,
 // Read side
 // ---------------------------------------------------------------------------
 
-Status Codec::RestoreTree(core::MdMatcher* matcher, Reader* r) {
+Status Codec::RestoreTree(core::MdMatcher* matcher, ByteReader* r) {
   core::MdMatcher& m = *matcher;
   similarity::GeneralizedSuffixTree& tree = m.tree_;
   // Re-derive the cheap half exactly as RebuildSuffixTree does — the
@@ -421,7 +421,7 @@ Status Codec::RestoreTree(core::MdMatcher* matcher, Reader* r) {
 Status Codec::RestoreMatcher(core::MdMatcher* matcher,
                              std::string_view payload) {
   core::MdMatcher& m = *matcher;
-  Reader r(payload);
+  ByteReader r(payload, StatusCode::kDataLoss);
   UC_ASSIGN_OR_RETURN(uint32_t indexed, r.U32());
   if (indexed != static_cast<uint32_t>(m.dm_.size())) {
     return Inconsistent("matcher indexed a different master size");
@@ -471,7 +471,7 @@ Status Codec::RestoreMemos(core::MdMatcher* matcher,
   core::MdMatcher& m = *matcher;
   const uint64_t pool_size = data::StringPool::Global().size();
   const uint32_t master_size = static_cast<uint32_t>(m.dm_.size());
-  Reader r(payload);
+  ByteReader r(payload, StatusCode::kDataLoss);
   UC_ASSIGN_OR_RETURN(uint32_t n_clauses, r.U32());
   if (n_clauses != m.sim_cache_.size()) {
     return Inconsistent("similarity memo clause count mismatch");
@@ -516,7 +516,7 @@ Result<std::unique_ptr<core::MatchEnvironment>> Codec::RestoreEnvironment(
     const core::MdMatcherOptions& options, std::string_view env_payload,
     const std::vector<RuleSection>& matcher_sections,
     const std::vector<RuleSection>& memo_sections) {
-  Reader er(env_payload);
+  ByteReader er(env_payload, StatusCode::kDataLoss);
   UC_ASSIGN_OR_RETURN(uint32_t num_rules, er.U32());
   UC_ASSIGN_OR_RETURN(uint32_t num_matchers, er.U32());
   UC_ASSIGN_OR_RETURN(uint32_t master_size, er.U32());

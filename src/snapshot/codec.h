@@ -32,6 +32,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/result.h"
 #include "core/match_environment.h"
 #include "core/md_matcher.h"
@@ -86,7 +87,7 @@ class Codec {
                          std::string* out);
   static Status RestoreMatcher(core::MdMatcher* matcher,
                                std::string_view payload);
-  static Status RestoreTree(core::MdMatcher* matcher, Reader* reader);
+  static Status RestoreTree(core::MdMatcher* matcher, ByteReader* reader);
   static Status RestoreMemos(core::MdMatcher* matcher,
                              std::string_view payload);
 };

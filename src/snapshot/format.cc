@@ -120,7 +120,8 @@ Result<Header> DecodeHeader(std::string_view file) {
   if (std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::DataLoss("not a uniclean snapshot (bad magic)");
   }
-  Reader r(file.substr(sizeof(kMagic), kHeaderBytes - sizeof(kMagic)));
+  ByteReader r(file.substr(sizeof(kMagic), kHeaderBytes - sizeof(kMagic)),
+               StatusCode::kDataLoss);
   Header h;
   UC_ASSIGN_OR_RETURN(h.version, r.U32());
   UC_ASSIGN_OR_RETURN(h.flags, r.U32());
@@ -160,7 +161,8 @@ Result<SectionHeader> DecodeSectionHeader(std::string_view file,
                             "offset " +
                             std::to_string(offset));
   }
-  Reader r(file.substr(offset, kSectionHeaderBytes));
+  ByteReader r(file.substr(offset, kSectionHeaderBytes),
+               StatusCode::kDataLoss);
   SectionHeader s;
   UC_ASSIGN_OR_RETURN(s.id, r.U32());
   UC_ASSIGN_OR_RETURN(s.rule_id, r.U32());

@@ -20,13 +20,13 @@
 //     u32 CRC-32C of the payload
 //     payload bytes
 //
-// All integers are little-endian. Every multi-byte value inside a payload
-// goes through the Put*/Reader helpers here, and every read is
-// bounds-checked: a truncated, bit-flipped or length-forged file yields a
-// structured Status::DataLoss, never an out-of-bounds access or an abort —
-// the loader hardening contract tested by snapshot_test's corruption
-// matrix. Payload layouts live in codec.h; policy (what gets refused when)
-// in snapshot.h.
+// All integers are little-endian. Every header field and every value inside
+// a payload goes through the shared codec in common/bytes.h, and every read
+// is a ByteReader built with StatusCode::kDataLoss: a truncated,
+// bit-flipped or length-forged file yields a structured Status::DataLoss,
+// never an out-of-bounds access or an abort — the loader hardening contract
+// tested by snapshot_test's corruption matrix. Payload layouts live in
+// codec.h; policy (what gets refused when) in snapshot.h.
 
 #ifndef UNICLEAN_SNAPSHOT_FORMAT_H_
 #define UNICLEAN_SNAPSHOT_FORMAT_H_
@@ -36,6 +36,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/bytes.h"
 #include "common/result.h"
 
 namespace uniclean {
@@ -70,30 +71,6 @@ inline constexpr uint32_t kNoRule = 0xFFFFFFFFu;
 /// checksums the whole file.
 uint32_t Crc32(const void* data, size_t n);
 inline uint32_t Crc32(std::string_view s) { return Crc32(s.data(), s.size()); }
-
-// --- little-endian appenders ------------------------------------------------
-
-inline void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-inline void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-/// u32 length + raw bytes.
-inline void PutBytes(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
 
 // --- header -----------------------------------------------------------------
 
@@ -133,74 +110,6 @@ void EncodeSectionHeader(const SectionHeader& section, std::string* out);
 /// than kSectionHeaderBytes remain.
 Result<SectionHeader> DecodeSectionHeader(std::string_view file,
                                           size_t offset);
-
-// --- bounds-checked payload reader ------------------------------------------
-
-/// Little-endian cursor over a section payload. Every accessor fails with
-/// Status::DataLoss instead of reading past the end, so hostile declared
-/// lengths inside a payload cannot walk out of the buffer.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
-
-  Result<uint8_t> U8() {
-    if (remaining() < 1) return Truncated("u8");
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  Result<uint32_t> U32() {
-    if (remaining() < 4) return Truncated("u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (remaining() < 8) return Truncated("u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  Result<int32_t> I32() {
-    UC_ASSIGN_OR_RETURN(uint32_t v, U32());
-    return static_cast<int32_t>(v);
-  }
-  /// u32 length + raw bytes; the view aliases the payload buffer.
-  Result<std::string_view> Bytes() {
-    UC_ASSIGN_OR_RETURN(uint32_t n, U32());
-    if (remaining() < n) return Truncated("byte run");
-    std::string_view s = data_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  /// `n` raw payload bytes, advanced past in one bounds check — the bulk
-  /// entry point for the flat-array codec paths, where a Result per 4-byte
-  /// read would dominate the restore cost.
-  Result<const char*> Raw(size_t n) {
-    if (remaining() < n) return Truncated("raw block");
-    const char* p = data_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
- private:
-  Status Truncated(const char* what) const {
-    return Status::DataLoss(std::string("snapshot payload truncated reading ") +
-                            what + " at offset " + std::to_string(pos_));
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 }  // namespace snapshot
 }  // namespace uniclean

@@ -210,7 +210,7 @@ Result<ParsedSnapshot> ParseSnapshot(std::string_view file) {
 /// section CRC missed, or a forged header).
 Result<std::vector<std::string_view>> DecodePoolStrings(
     const Header& header, std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, StatusCode::kDataLoss);
   UC_ASSIGN_OR_RETURN(uint64_t count, r.U64());
   if (count != header.pool_count) {
     return Status::DataLoss("pool section holds " + std::to_string(count) +
@@ -227,7 +227,7 @@ Result<std::vector<std::string_view>> DecodePoolStrings(
   strings.reserve(static_cast<size_t>(count));
   uint64_t hash = 0x243f6a8885a308d3ULL;  // StringPool::PrefixHash seed
   for (uint64_t i = 0; i < count; ++i) {
-    UC_ASSIGN_OR_RETURN(std::string_view s, r.Bytes());
+    UC_ASSIGN_OR_RETURN(std::string_view s, r.Lp());
     hash = data::MixU64(hash ^ s.size());
     for (char c : s) {
       hash = data::MixU64(hash ^ static_cast<uint64_t>(
@@ -339,7 +339,7 @@ Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
   PendingSection pool_section{SectionId::kStringPool, kNoRule, {}};
   PutU64(&pool_section.payload, gen.count);
   for (uint64_t id = 0; id < gen.count; ++id) {
-    PutBytes(&pool_section.payload,
+    PutLp(&pool_section.payload,
              pool.view(static_cast<data::ValueId>(id)));
   }
   sections.push_back(std::move(pool_section));

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/result.h"
 #include "common/cancellation.h"
 #include "common/json.h"
@@ -227,6 +228,101 @@ TEST(StringUtilTest, ToLowerAndStartsWith) {
   EXPECT_EQ(ToLower("AbC 9!"), "abc 9!");
   EXPECT_TRUE(StartsWith("edinburgh", "edi"));
   EXPECT_FALSE(StartsWith("ed", "edi"));
+}
+
+TEST(StringUtilTest, ParseNumberAcceptsOneWholeInRangeToken) {
+  int i = 0;
+  EXPECT_TRUE(ParseNumber("42", &i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(ParseNumber("-7", &i));
+  EXPECT_EQ(i, -7);
+  EXPECT_TRUE(ParseNumber("2147483647", &i));
+  EXPECT_EQ(i, 2147483647);
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &u));
+  EXPECT_EQ(u, std::numeric_limits<uint64_t>::max());
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("0.8", &d));
+  EXPECT_DOUBLE_EQ(d, 0.8);
+  EXPECT_TRUE(ParseNumber("-1e-3", &d));
+  EXPECT_DOUBLE_EQ(d, -1e-3);
+}
+
+TEST(StringUtilTest, ParseNumberRejectsJunkOverflowSignsAndEmpty) {
+  int i = 5;
+  for (const char* bad : {"", "5x", "x5", " 5", "5 ", "+5", "5.0", "1e3",
+                          "2147483648", "-2147483649", "0x10", "-"}) {
+    EXPECT_FALSE(ParseNumber(bad, &i)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(i, 5);  // untouched on failure
+  uint64_t u = 9;
+  for (const char* bad : {"", "-1", "+1", "18446744073709551616", "1\n",
+                          "12abc"}) {
+    EXPECT_FALSE(ParseNumber(bad, &u)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(u, 9u);
+  double d = 0.5;
+  for (const char* bad : {"", "abc", "0.8x", " 0.8", "+0.8", "1e999", "inf",
+                          "nan", "0.8 "}) {
+    EXPECT_FALSE(ParseNumber(bad, &d)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(d, 0.5);
+}
+
+TEST(ByteReaderTest, RoundTripsEveryEncoder) {
+  std::string buf;
+  PutU8(&buf, 0xAB);
+  PutU32(&buf, 0x01020304u);
+  PutU64(&buf, 0x1122334455667788ull);
+  PutLp(&buf, "lp");
+  buf += "tail";
+  // Little-endian on the wire, whatever the host order.
+  EXPECT_EQ(buf.substr(1, 4), std::string("\x04\x03\x02\x01", 4));
+  ByteReader r(buf, StatusCode::kCorruption);
+  EXPECT_EQ(r.U8().value(), 0xAB);
+  EXPECT_EQ(r.U32().value(), 0x01020304u);
+  EXPECT_EQ(r.U64().value(), 0x1122334455667788ull);
+  EXPECT_EQ(r.Lp().value(), "lp");
+  EXPECT_EQ(r.remaining(), 4u);
+  EXPECT_FALSE(r.done());
+  EXPECT_EQ(r.Raw(2).value(), "ta");
+  EXPECT_EQ(r.Rest(), "il");
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(r.Rest(), "");
+}
+
+TEST(ByteReaderTest, ShortReadAtEveryWidthReportsTheConfiguredCode) {
+  for (StatusCode code : {StatusCode::kCorruption, StatusCode::kDataLoss}) {
+    EXPECT_EQ(ByteReader("", code).U8().status().code(), code);
+    EXPECT_EQ(ByteReader("abc", code).U32().status().code(), code);
+    EXPECT_EQ(ByteReader("abcdefg", code).U64().status().code(), code);
+    EXPECT_EQ(ByteReader("ab", code).Lp().status().code(), code);
+    EXPECT_EQ(ByteReader("abc", code).Raw(4).status().code(), code);
+  }
+}
+
+TEST(ByteReaderTest, ForgedLengthsFailWithoutConsumingThePayload) {
+  std::string huge;
+  PutU32(&huge, 0xFFFFFFFFu);
+  huge += "xyz";
+  ByteReader r(huge, StatusCode::kCorruption);
+  Result<std::string_view> lp = r.Lp();
+  ASSERT_FALSE(lp.ok());
+  EXPECT_EQ(lp.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(r.remaining(), 3u);  // only the length prefix was consumed
+
+  std::string one_over;
+  PutU32(&one_over, 4);
+  one_over += "abc";  // remaining() + 1 declared
+  ByteReader s(one_over, StatusCode::kDataLoss);
+  EXPECT_EQ(s.Lp().status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(s.Rest(), "abc");
+
+  ByteReader t("abc", StatusCode::kDataLoss);
+  EXPECT_FALSE(t.Raw(4).ok());
+  EXPECT_EQ(t.Raw(3).value(), "abc");  // a failed read leaves the cursor
+  EXPECT_TRUE(t.done());
+  EXPECT_EQ(t.U8().status().code(), StatusCode::kDataLoss);
 }
 
 std::string JsonString(std::string_view v) {

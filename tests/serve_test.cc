@@ -3,9 +3,11 @@
 // wire CSV decoding cell-identical to the library readers),
 // hot reload against in-flight requests (the acceptance pin), tracked
 // session lifecycle (explicit close, reclaim on disconnect), and framing
-// robustness — truncated frames, oversized declared lengths, garbage
-// opcodes, malformed CSV, mid-stream disconnects — all of which must yield
-// a clean error response or connection close, never a daemon crash. Runs
+// robustness — truncated frames, oversized declared lengths, forged body
+// lengths, garbage opcodes, malformed CSV, mid-stream disconnects — all of
+// which must yield a clean error response or connection close, never a
+// daemon crash. The client's reply decoders are fed malformed replies by a
+// scripted fake daemon and must fail with a Status, never abort. Runs
 // an in-process Daemon on an ephemeral port; also the ASan/TSan target for
 // the serving threads.
 
@@ -25,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "data/csv.h"
 #include "gen/dataset.h"
 #include "serve/client.h"
@@ -511,6 +514,109 @@ TEST(ServeTest, TruncatedFrameIsAProtocolErrorNotACrash) {
   // Daemon is still serving.
   Client client = ServeWorld::Get()->Connect();
   EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST(ServeTest, ForgedLpLengthInACleanBodyIsCorruptionAndConnectionSurvives) {
+  // A well-framed CLEAN whose first lp declares 0xFFFFFFFF bytes: the body
+  // decoder refuses it before touching the payload, the reply is a
+  // Corruption error in the request's tag, and framing stays intact.
+  ServeWorld* w = ServeWorld::Get();
+  auto fd = ConnectTcp("127.0.0.1", w->daemon->port());
+  ASSERT_TRUE(fd.ok());
+  FrameChannel channel(*fd);
+  std::string body;
+  PutU8(&body, 0);
+  PutU32(&body, 0xFFFFFFFFu);
+  body += "hosp";
+  ASSERT_TRUE(channel.WriteFrame(31, Op::kClean, body).ok());
+  auto frame = channel.ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->op, Op::kError);
+  EXPECT_EQ(frame->tag, 31u);
+  ByteReader reply(frame->body, StatusCode::kCorruption);
+  EXPECT_EQ(reply.U8().value(),
+            static_cast<uint8_t>(StatusCode::kCorruption));
+  EXPECT_NE(reply.Lp().value().find("lp string"), std::string_view::npos);
+  ASSERT_TRUE(channel.WriteFrame(32, Op::kPing, "still there?").ok());
+  frame = channel.ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->op, Op::kPong);
+  EXPECT_EQ(frame->tag, 32u);
+}
+
+/// A one-shot fake daemon on a unix socket: accepts one connection and
+/// answers its first request with a fixed reply frame in the request's tag,
+/// so client-side decoders can be fed replies no real daemon sends.
+class ScriptedPeer {
+ public:
+  ScriptedPeer(Op reply_op, std::string reply_body) {
+    char tmpl[] = "/tmp/uniclean_peer.XXXXXX";
+    EXPECT_NE(::mkdtemp(tmpl), nullptr);
+    dir_ = tmpl;
+    auto fd = ListenUnix(dir_ + "/sock");
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    listen_fd_ = fd.ok() ? *fd : -1;
+    thread_ = std::thread([this, reply_op, body = std::move(reply_body)] {
+      const int conn = ::accept(listen_fd_, nullptr, nullptr);
+      if (conn < 0) return;
+      FrameChannel channel(conn);
+      auto request = channel.ReadFrame();
+      if (!request.ok()) return;
+      (void)channel.WriteFrame(request->tag, reply_op, body);
+      (void)channel.ReadFrame();  // hold the connection until the client goes
+    });
+  }
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+  ~ScriptedPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes accept() if nobody connected
+    thread_.join();
+    ::close(listen_fd_);
+    ::unlink((dir_ + "/sock").c_str());
+    ::rmdir(dir_.c_str());
+  }
+
+  Client Connect() const {
+    auto client = Client::ConnectAddress("unix:" + dir_ + "/sock");
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return std::move(client).value();
+  }
+
+ private:
+  std::string dir_;
+  int listen_fd_ = -1;
+  std::thread thread_;
+};
+
+TEST(ClientDecodeTest, NonNumericDeltaDoneIdIsAnErrorNotAnAbort) {
+  std::string done;
+  for (int i = 0; i < 4; ++i) PutU32(&done, 1);
+  PutLp(&done, "1\nx\n");
+  ScriptedPeer peer(Op::kDeltaDone, done);
+  Client client = peer.Connect();
+  DeltaRequest request;
+  request.session_id = 1;
+  auto reply = client.Delta(request);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ClientDecodeTest, BareEchoPongFailsPingEx) {
+  ScriptedPeer peer(Op::kPong, "unicleand?");
+  Client client = peer.Connect();
+  auto info = client.PingEx();
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
+}
+
+TEST(ClientDecodeTest, ErrorWithoutRetryAfterTrailerIsCorruption) {
+  std::string body;
+  PutU8(&body, static_cast<uint8_t>(StatusCode::kNotFound));
+  PutLp(&body, "no such thing");
+  ScriptedPeer peer(Op::kError, body);
+  Client client = peer.Connect();
+  Status status = client.Ping();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
 }
 
 TEST(ServeTest, SlowReaderStillReceivesEveryChunkByte) {
@@ -1062,6 +1168,17 @@ TEST(WireDeadlineTest, NewErrorCodesRoundTripUnchanged) {
     EXPECT_EQ(round_tripped.code(), status.code());
     EXPECT_EQ(round_tripped.message(), status.message());
   }
+  // Every code the wire can carry maps back to itself; anything past the
+  // last StatusCode is an Internal error naming the byte.
+  for (uint8_t code = 1; code <= static_cast<uint8_t>(StatusCode::kDataLoss);
+       ++code) {
+    EXPECT_EQ(StatusFromWire(code, "m").code(), static_cast<StatusCode>(code));
+  }
+  EXPECT_TRUE(StatusFromWire(0, "ignored").ok());
+  const Status unknown = StatusFromWire(13, "m");
+  EXPECT_EQ(unknown.code(), StatusCode::kInternal);
+  EXPECT_NE(unknown.message().find("unknown wire error code 13"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 //   uniclean_cli --data sample/dirty.csv --master sample/master.csv
 //                --rules sample/rules.txt --confidence sample/confidence.csv
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +16,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/string_util.h"
 #include "uniclean/uniclean.h"
 
 using namespace uniclean;  // NOLINT
@@ -35,15 +38,16 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-int ParseCount(const char* flag, const char* v) {
-  char* end = nullptr;
-  long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || n < 0) {
+/// Strict non-negative flag value (common/string_util.h ParseNumber) of at
+/// most `max`; exits 1 on anything else.
+uint64_t ParseCount(const char* flag, const char* v, uint64_t max) {
+  uint64_t n = 0;
+  if (!ParseNumber(v, &n) || n > max) {
     std::fprintf(stderr, "%s wants a non-negative integer, got '%s'\n", flag,
                  v);
     std::exit(1);
   }
-  return static_cast<int>(n);
+  return n;
 }
 
 int main(int argc, char** argv) {
@@ -64,11 +68,13 @@ int main(int argc, char** argv) {
     if (arg == "--out-dir") {
       out_dir = next();
     } else if (arg == "--tuples") {
-      config.num_tuples = ParseCount("--tuples", next());
+      config.num_tuples =
+          static_cast<int>(ParseCount("--tuples", next(), INT_MAX));
     } else if (arg == "--master") {
-      config.master_size = ParseCount("--master", next());
+      config.master_size =
+          static_cast<int>(ParseCount("--master", next(), INT_MAX));
     } else if (arg == "--seed") {
-      config.seed = static_cast<uint64_t>(std::atoll(next()));
+      config.seed = ParseCount("--seed", next(), UINT64_MAX);
     } else {
       Usage(argv[0]);
       return 1;

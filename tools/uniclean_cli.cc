@@ -21,13 +21,11 @@
 // tuples they can affect are re-cleaned, and the journal written afterwards
 // is the canonical (batch-equivalent) one.
 
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/string_util.h"
 #include "uniclean/uniclean.h"
 
 using namespace uniclean;  // NOLINT
@@ -72,31 +70,13 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-/// Strict double parse: the whole string must be consumed.
-bool ParseDouble(const char* flag, const char* v, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-/// Strict int parse: the whole string must be consumed.
-bool ParseInt(const char* flag, const char* v, int* out) {
-  errno = 0;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
-      parsed > INT_MAX) {
-    std::fprintf(stderr, "%s expects an integer, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
+/// Strict numeric flag value (common/string_util.h ParseNumber): the whole
+/// value must be one in-range number.
+template <typename T>
+bool ParseFlag(const char* flag, const char* v, T* out) {
+  if (ParseNumber(v, out)) return true;
+  std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
+  return false;
 }
 
 /// Parses a --phases spec like "c,e,h" or "ce". Unknown characters are an
@@ -169,13 +149,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       opts->journal_path = v;
     } else if (arg == "--eta") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseDouble("--eta", v, &opts->eta)) return false;
+      if (!ParseFlag("--eta", v, &opts->eta)) return false;
     } else if (arg == "--delta1") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--delta1", v, &opts->delta1)) return false;
+      if (!ParseFlag("--delta1", v, &opts->delta1)) return false;
     } else if (arg == "--delta2") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseDouble("--delta2", v, &opts->delta2)) return false;
+      if (!ParseFlag("--delta2", v, &opts->delta2)) return false;
     } else if (arg == "--phases") {
       if ((v = next()) == nullptr) return false;
       if (!ParsePhases(v, opts)) return false;
@@ -188,7 +168,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       opts->delta_path = v;
     } else if (arg == "--memo-cap") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--memo-cap", v, &opts->memo_cap)) return false;
+      if (!ParseFlag("--memo-cap", v, &opts->memo_cap)) return false;
       if (opts->memo_cap < 0) {
         std::fprintf(stderr, "--memo-cap must be >= 0, got %d\n",
                      opts->memo_cap);

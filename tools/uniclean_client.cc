@@ -34,14 +34,12 @@
 
 #include <unistd.h>
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/string_util.h"
 #include "serve/client.h"
 
 using namespace uniclean;  // NOLINT
@@ -84,17 +82,13 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseInt(const char* flag, const char* v, int* out) {
-  errno = 0;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
-      parsed > INT_MAX) {
-    std::fprintf(stderr, "%s expects an integer, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
+/// Strict numeric flag value (common/string_util.h ParseNumber): the whole
+/// value must be one in-range number.
+template <typename T>
+bool ParseFlag(const char* flag, const char* v, T* out) {
+  if (ParseNumber(v, out)) return true;
+  std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
+  return false;
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -134,7 +128,7 @@ bool ParseArgs(int argc, char** argv, ClientCli* cli) {
       cli->host = v;
     } else if (arg == "--port") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--port", v, &cli->port)) return false;
+      if (!ParseFlag("--port", v, &cli->port)) return false;
     } else if (arg == "--port-file") {
       if ((v = next()) == nullptr) return false;
       cli->port_file = v;
@@ -177,19 +171,13 @@ bool ParseArgs(int argc, char** argv, ClientCli* cli) {
       cli->delta_journal_path = v;
     } else if (arg == "--deadline-ms") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--deadline-ms", v, &cli->deadline_ms)) return false;
+      if (!ParseFlag("--deadline-ms", v, &cli->deadline_ms)) return false;
     } else if (arg == "--max-retries") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--max-retries", v, &cli->max_retries)) return false;
+      if (!ParseFlag("--max-retries", v, &cli->max_retries)) return false;
     } else if (arg == "--retry-seed") {
       if ((v = next()) == nullptr) return false;
-      errno = 0;
-      char* end = nullptr;
-      cli->retry_seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "--retry-seed expects an integer, got '%s'\n", v);
-        return false;
-      }
+      if (!ParseFlag("--retry-seed", v, &cli->retry_seed)) return false;
       cli->have_retry_seed = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
@@ -214,7 +202,7 @@ int main(int argc, char** argv) {
     // A unix-mode daemon writes its "unix:PATH" address to the port file.
     if (line.rfind("unix:", 0) == 0) {
       cli.address = line;
-    } else if (!ParseInt("--port-file", line.c_str(), &cli.port)) {
+    } else if (!ParseFlag("--port-file", line.c_str(), &cli.port)) {
       return 1;
     }
   }

@@ -14,10 +14,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/string_util.h"
 #include "data/csv.h"
 #include "snapshot/snapshot.h"
 #include "uniclean/uniclean.h"
@@ -35,6 +35,16 @@ int Usage() {
                "         [--eta F] [--delta1 N] [--delta2 F] [--memo-cap N] "
                "[--no-memos]\n");
   return 2;
+}
+
+/// Strict numeric flag value (common/string_util.h ParseNumber): the whole
+/// value must be one in-range number.
+template <typename T>
+bool ParseFlag(const char* flag, const char* v, T* out) {
+  if (ParseNumber(v, out)) return true;
+  std::fprintf(stderr, "uniclean_snapshot: %s expects a number, got '%s'\n",
+               flag, v);
+  return false;
 }
 
 const char* SectionName(uint32_t id) {
@@ -115,13 +125,13 @@ int Write(const std::string& path, int argc, char** argv) {
     } else if (arg == "--schema" && (v = next()) != nullptr) {
       schema_csv = v;
     } else if (arg == "--eta" && (v = next()) != nullptr) {
-      eta = std::atof(v);
+      if (!ParseFlag("--eta", v, &eta)) return Usage();
     } else if (arg == "--delta1" && (v = next()) != nullptr) {
-      delta1 = std::atoi(v);
+      if (!ParseFlag("--delta1", v, &delta1)) return Usage();
     } else if (arg == "--delta2" && (v = next()) != nullptr) {
-      delta2 = std::atof(v);
+      if (!ParseFlag("--delta2", v, &delta2)) return Usage();
     } else if (arg == "--memo-cap" && (v = next()) != nullptr) {
-      memo_cap = std::atoi(v);
+      if (!ParseFlag("--memo-cap", v, &memo_cap)) return Usage();
     } else if (arg == "--no-memos") {
       options.include_memos = false;
     } else {

@@ -53,6 +53,7 @@
 #include "cluster/membership.h"
 #include "cluster/ring.h"
 #include "cluster/spec.h"
+#include "common/string_util.h"
 #include "serve/client.h"
 
 using namespace uniclean;  // NOLINT
@@ -225,11 +226,11 @@ int CmdStop(const cluster::ClusterSpec& spec, const std::string& state_dir) {
       buf << in.rdbuf();
       text = buf.str();
     }
-    const pid_t pid = static_cast<pid_t>(std::strtol(text.c_str(), nullptr, 10));
-    if (pid <= 0) continue;
+    int pid = 0;
+    if (!ParseNumber(Trim(text), &pid) || pid <= 0) continue;
     if (::kill(pid, SIGTERM) != 0 && errno != ESRCH) {
       std::fprintf(stderr, "unicleanctl stop: kill %d: %s\n",
-                   static_cast<int>(pid), std::strerror(errno));
+                   pid, std::strerror(errno));
       ++failures;
       continue;
     }

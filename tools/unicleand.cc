@@ -26,13 +26,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "serve/server.h"
 
 using namespace uniclean;  // NOLINT
@@ -87,29 +86,13 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseDouble(const char* flag, const char* v, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseInt(const char* flag, const char* v, int* out) {
-  errno = 0;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
-      parsed > INT_MAX) {
-    std::fprintf(stderr, "%s expects an integer, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
+/// Strict numeric flag value (common/string_util.h ParseNumber): the whole
+/// value must be one in-range number.
+template <typename T>
+bool ParseFlag(const char* flag, const char* v, T* out) {
+  if (ParseNumber(v, out)) return true;
+  std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
+  return false;
 }
 
 bool ParsePhases(const char* v, serve::RulesetConfig* cfg) {
@@ -183,7 +166,7 @@ bool ParseArgs(int argc, char** argv, DaemonCli* cli) {
       cli->options.host = v;
     } else if (arg == "--port") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--port", v, &cli->options.port)) return false;
+      if (!ParseFlag("--port", v, &cli->options.port)) return false;
     } else if (arg == "--listen") {
       if ((v = next()) == nullptr) return false;
       cli->options.listen = v;
@@ -192,19 +175,19 @@ bool ParseArgs(int argc, char** argv, DaemonCli* cli) {
       cli->port_file = v;
     } else if (arg == "--workers") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--workers", v, &cli->options.n_workers)) return false;
+      if (!ParseFlag("--workers", v, &cli->options.n_workers)) return false;
     } else if (arg == "--eta") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseDouble("--eta", v, &cli->base.eta)) return false;
+      if (!ParseFlag("--eta", v, &cli->base.eta)) return false;
     } else if (arg == "--delta1") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--delta1", v, &cli->base.delta1)) return false;
+      if (!ParseFlag("--delta1", v, &cli->base.delta1)) return false;
     } else if (arg == "--delta2") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseDouble("--delta2", v, &cli->base.delta2)) return false;
+      if (!ParseFlag("--delta2", v, &cli->base.delta2)) return false;
     } else if (arg == "--memo-cap") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--memo-cap", v, &cli->base.memo_cap)) return false;
+      if (!ParseFlag("--memo-cap", v, &cli->base.memo_cap)) return false;
     } else if (arg == "--phases") {
       if ((v = next()) == nullptr) return false;
       if (!ParsePhases(v, &cli->base)) return false;
@@ -212,22 +195,22 @@ bool ParseArgs(int argc, char** argv, DaemonCli* cli) {
       cli->options.warmup = false;
     } else if (arg == "--max-queue") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--max-queue", v, &cli->options.max_queue)) return false;
+      if (!ParseFlag("--max-queue", v, &cli->options.max_queue)) return false;
     } else if (arg == "--max-inflight-per-ruleset") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--max-inflight-per-ruleset", v,
+      if (!ParseFlag("--max-inflight-per-ruleset", v,
                     &cli->options.max_inflight_per_ruleset)) {
         return false;
       }
     } else if (arg == "--request-timeout-ms") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--request-timeout-ms", v,
+      if (!ParseFlag("--request-timeout-ms", v,
                     &cli->options.request_timeout_ms)) {
         return false;
       }
     } else if (arg == "--drain-grace-ms") {
       if ((v = next()) == nullptr) return false;
-      if (!ParseInt("--drain-grace-ms", v, &cli->options.drain_grace_ms)) {
+      if (!ParseFlag("--drain-grace-ms", v, &cli->options.drain_grace_ms)) {
         return false;
       }
     } else if (arg == "--log-requests") {
