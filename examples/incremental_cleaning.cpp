@@ -1,10 +1,10 @@
-// Incremental cleaning: a tracked session keeps the batch run's violation
-// groups alive, so later edits (inserts, updates, deletes) re-clean only the
-// tuples they can actually affect instead of the whole relation. The example
-// drives a stream of single-tuple edits through Session::ApplyDelta and then
-// checks the incremental result — repaired cells and canonical fix set —
-// matches a from-scratch batch clean of the final relation, the convergence
-// guarantee delta_test pins.
+// Incremental cleaning: a tracked session keeps the relation's original
+// values, so later edits (inserts, updates, deletes) fold in through
+// Session::ApplyDelta — one warm re-run of the edited relation, committed
+// only on success. The example drives a stream of single-tuple edits and
+// then checks the result — repaired cells and canonical fix set — matches a
+// from-scratch batch clean of the final relation, the convergence guarantee
+// delta_test pins.
 
 #include <cstdio>
 #include <string>
@@ -54,7 +54,6 @@ int main() {
               batch->total_fixes());
 
   // --- Stream the held-out tuples in, one ApplyDelta each. ----------------
-  int recleaned = 0;
   for (int k = 0; k < kHeld; ++k) {
     Delta delta;
     delta.inserts.push_back(ds.dirty.tuple(ds.dirty.size() - kHeld + k));
@@ -64,13 +63,10 @@ int main() {
                   dr.status().ToString().c_str());
       return 1;
     }
-    recleaned += dr->affected;
     std::printf(
-        "  delta %d (generation %d): %d of %d tuples re-cleaned, %d fixes\n",
+        "  delta %d (generation %d): %d of %d tuples affected, %d fixes\n",
         k, dr->generation, dr->affected, initial.size(), dr->total_fixes());
   }
-  std::printf("stream done: %d tuple-cleanings instead of %d\n", recleaned,
-              kHeld * initial.size());
 
   // --- Convergence: same fixes as cleaning the final relation cold. -------
   data::Relation full = ds.dirty.Clone();

@@ -132,7 +132,7 @@ int main() {
     std::printf("delta failed: %s\n", applied.status().ToString().c_str());
     return 1;
   }
-  std::printf("wire delta: generation %u, %u tuples re-cleaned, %u fixes\n",
+  std::printf("wire delta: generation %u, %u tuples affected, %u fixes\n",
               applied->generation, applied->affected, applied->total_fixes);
 
   // 3. Hot reload: the files are unchanged, so the fingerprint must hold.

@@ -90,7 +90,7 @@ struct DeltaReply {
   uint32_t total_fixes = 0;
   /// Ids minted for the inserts, index-matched to the request.
   std::vector<data::TupleId> inserted_ids;
-  /// The covering canonical journal CSV — byte-identical to
+  /// The canonical journal CSV — byte-identical to
   /// Session::CanonicalJournal().WriteCsv after the same in-process edits.
   std::string journal_csv;
 };

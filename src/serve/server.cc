@@ -273,12 +273,16 @@ void Daemon::Shutdown() {
       }
     }
   }
-  std::vector<std::thread> readers;
+  std::unordered_map<uint64_t, std::thread> readers;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     readers.swap(readers_);
   }
-  for (std::thread& t : readers) t.join();
+  for (auto& [id, t] : readers) t.join();
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    finished_readers_.clear();
+  }
   // 3. Drain: every queued request is served before the workers stop — but
   //    a request wedged past the grace budget has its token cancelled, so
   //    the engines unwind it cooperatively and the drain still completes.
@@ -352,6 +356,7 @@ void Daemon::AcceptLoop() {
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
     const int r = ::poll(&pfd, 1, 200);
+    JoinFinishedReaders();
     if (r <= 0) continue;  // timeout (re-check running_) or EINTR
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
@@ -368,8 +373,23 @@ void Daemon::AcceptLoop() {
     const uint64_t id = next_conn_id_++;
     auto conn = std::make_shared<Conn>(this, fd, id);
     conns_.emplace(id, conn);
-    readers_.emplace_back(&Daemon::ReadLoop, this, std::move(conn));
+    readers_.emplace(id,
+                     std::thread(&Daemon::ReadLoop, this, std::move(conn)));
   }
+}
+
+void Daemon::JoinFinishedReaders() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (uint64_t id : finished_readers_) {
+      auto it = readers_.find(id);
+      finished.push_back(std::move(it->second));
+      readers_.erase(it);
+    }
+    finished_readers_.clear();
+  }
+  for (std::thread& t : finished) t.join();
 }
 
 void Daemon::ReadLoop(std::shared_ptr<Conn> conn) {
@@ -435,6 +455,7 @@ void Daemon::ReadLoop(std::shared_ptr<Conn> conn) {
   conn->closing.store(true);
   std::lock_guard<std::mutex> lock(conns_mu_);
   conns_.erase(conn->id);
+  finished_readers_.push_back(conn->id);
 }
 
 void Daemon::WorkerLoop() {

@@ -252,6 +252,8 @@ class Daemon {
   // Acceptor / reader / worker loops.
   void AcceptLoop();
   void ReadLoop(std::shared_ptr<Conn> conn);
+  /// Joins the reader threads that have exited since the last call.
+  void JoinFinishedReaders();
   void WorkerLoop();
 
   // Request handlers (run on worker threads; CANCEL runs on the reader).
@@ -311,10 +313,13 @@ class Daemon {
   std::vector<std::thread> workers_;
 
   // Reader bookkeeping: readers register themselves so Shutdown can EOF
-  // them, and their threads are joined on the way out.
+  // them. A reader that exits files its connection id in finished_readers_,
+  // and the acceptor joins those threads on its next wake-up, so a finished
+  // reader's stack is released instead of mapped until Shutdown.
   std::mutex conns_mu_;
   std::unordered_map<uint64_t, std::weak_ptr<Conn>> conns_;
-  std::vector<std::thread> readers_;
+  std::unordered_map<uint64_t, std::thread> readers_;
+  std::vector<uint64_t> finished_readers_;
   uint64_t next_conn_id_ = 1;
 
   // Work queue (readers produce, workers consume).

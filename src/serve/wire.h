@@ -55,8 +55,9 @@
 //   kJournalChunk / kDataChunk  raw CSV bytes (concatenate per tag)
 //   kCleanDone  u64 session id (0 = untracked), u32 total fixes,
 //               u32 journal entries, lp phase summary text
-//   kDeltaDone  u32 generation, u32 affected tuples, u32 refinement rounds,
-//               u32 fixes
+//   kDeltaDone  u32 generation, u32 affected tuples (edited or whose fixes
+//               changed), u32 pipeline runs (1, or 0 for a no-op delta),
+//               u32 fixes of the re-run
 //   kStatsReply JSON text (Daemon::StatsJson() in server.h gives the shape)
 //   kOk         lp message
 //   kError      u8 wire error code (the numeric StatusCode: 1 =

@@ -61,11 +61,11 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// (a few small allocations); call per request in a serving loop.
   Session NewSession() const;
 
-  /// Like NewSession(), but with delta tracking armed: the session's one
-  /// Run() snapshots pristine state and builds violation-group indexes, and
-  /// Session::ApplyDelta then folds incremental inserts/updates/deletes in
-  /// without re-cleaning the whole relation (see session.h). Tracking costs
-  /// a clone of the cleaned relation plus O(|D|) index ids.
+  /// Like NewSession(), but with delta tracking armed: the session's Run()
+  /// snapshots the relation's pristine state, and Session::ApplyDelta then
+  /// folds inserts/updates/deletes in by one warm re-run of the edited
+  /// relation (see session.h). Tracking costs a clone of the cleaned
+  /// relation plus the journal.
   Session NewTrackedSession() const;
 
   /// Cleans every relation of the batch, each in its own Session, using a
@@ -104,8 +104,9 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// core::MatchEnvironment::RefreshMasterAppend). Returns the number of
   /// newly indexed master tuples. NOT safe while any Session is running:
   /// callers must quiesce sessions first (the refresh invalidates memo
-  /// references and rewrites the indexes in place). Tracked sessions pick
-  /// the growth up on their next ApplyDelta.
+  /// references and rewrites the indexes in place). A tracked session's next
+  /// ApplyDelta, even an empty one, re-runs its relation against the grown
+  /// master.
   int RefreshMasterIndexes() const;
 
   const data::Relation& master() const { return *master_; }

@@ -35,10 +35,11 @@ struct FixEntry {
   /// Name of the justifying rule; empty when no single rule is attributable.
   std::string rule;
   /// Delta generation that produced this entry: 0 for the initial
-  /// Session::Run, g for the g-th Session::ApplyDelta. A tuple re-repaired
-  /// by a delta gets a fresh full set of generation-g entries; the entries
-  /// of earlier generations stay in the journal as history (see
-  /// Session::CanonicalJournal for the covering view).
+  /// Session::Run, g for the g-th Session::ApplyDelta. A tuple that delta g
+  /// edited, or whose canonical fixes it changed, gets a fresh full set of
+  /// generation-g entries in Session::journal(); the entries of earlier
+  /// generations stay there as history (Session::CanonicalJournal holds the
+  /// latest run's view).
   int generation = 0;
 };
 
@@ -70,13 +71,12 @@ class FixJournal {
   /// The canonical fix set rendered as CSV WITHOUT the provenance columns:
   /// header `tuple,attribute,old,new`, one row per Canonicalized() entry.
   /// Which pipeline phase lands the final write for a cell depends on the
-  /// evaluation trajectory — e.g. a fix eRepair derives in a batch run may
-  /// fall through to hRepair in an incremental re-run whose sibling cells
-  /// took a different intermediate path — so provenance is not comparable
-  /// across runs. This rendering is the trajectory-independent invariant:
-  /// two journals that repaired the same cells to the same values produce
-  /// byte-identical strings, and it is what Session::ApplyDelta's
-  /// convergence guarantee pins.
+  /// evaluation trajectory (rule order, phase selection), so provenance is
+  /// not comparable across differently configured runs. This rendering is
+  /// the trajectory-independent invariant: two journals that repaired the
+  /// same cells to the same values produce byte-identical strings. A
+  /// tracked ApplyDelta is a batch run over the edited relation, so its
+  /// canonical journal matches a batch run's with provenance too.
   std::string CanonicalFixSetCsv() const;
 
   /// (phase, count) pairs in order of each phase's first appearance.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "uniclean/detail.h"
 #include "uniclean/engine.h"
 
@@ -117,12 +116,13 @@ Result<CleanResult> Session::Run(data::Relation* data) {
   }
 
   if (track_deltas_) {
-    // Snapshot the pre-cleaning state first: ApplyDelta restarts affected
-    // tuples from these values, exactly as a batch run over the edited
+    // Snapshot the pre-cleaning state first: ApplyDelta re-runs the
+    // pipeline from these values, exactly as a batch run over the edited
     // relation would. A repeated Run restarts tracking from scratch.
     tracked_ = data;
     pristine_ = std::make_unique<data::Relation>(data->Clone());
     journal_ = FixJournal();
+    canonical_ = FixJournal();
     generation_ = 0;
   }
 
@@ -142,6 +142,7 @@ Result<CleanResult> Session::Run(data::Relation* data) {
         tracked_ = nullptr;
         pristine_.reset();
         journal_ = FixJournal();
+        canonical_ = FixJournal();
         generation_ = 0;
       }
       return executed.status();
@@ -157,56 +158,10 @@ Result<CleanResult> Session::Run(data::Relation* data) {
 
   if (track_deltas_) {
     journal_ = result.journal;
-    covered_gen_.assign(static_cast<size_t>(data->size()), 0);
-    BuildGroupIndex();
+    canonical_ = result.journal.Canonicalized();
     known_master_size_ = engine_->environment().indexed_master_size();
   }
   return result;
-}
-
-void Session::FileTuple(data::TupleId t) {
-  const rules::RuleSet& rules = engine_->rules();
-  for (size_t i = 0; i < vcfd_rules_.size(); ++i) {
-    const std::vector<data::AttributeId>& lhs =
-        rules.cfd(vcfd_rules_[i]).lhs();
-    const data::GroupKey current =
-        data::GroupKey::Project(tracked_->tuple(t), lhs);
-    group_index_[i][current].push_back(t);
-    filed_[static_cast<size_t>(t)].emplace_back(i, current);
-    const data::GroupKey pristine =
-        data::GroupKey::Project(pristine_->tuple(t), lhs);
-    if (pristine != current) {
-      group_index_[i][pristine].push_back(t);
-      filed_[static_cast<size_t>(t)].emplace_back(i, pristine);
-    }
-  }
-}
-
-void Session::UnfileTuple(data::TupleId t) {
-  for (const auto& [i, key] : filed_[static_cast<size_t>(t)]) {
-    auto it = group_index_[i].find(key);
-    if (it == group_index_[i].end()) continue;
-    std::vector<data::TupleId>& members = it->second;
-    members.erase(std::remove(members.begin(), members.end(), t),
-                  members.end());
-    if (members.empty()) group_index_[i].erase(it);
-  }
-  filed_[static_cast<size_t>(t)].clear();
-}
-
-void Session::BuildGroupIndex() {
-  const rules::RuleSet& rules = engine_->rules();
-  vcfd_rules_.clear();
-  for (rules::RuleId rule = 0; rule < rules.num_rules(); ++rule) {
-    if (rules.kind(rule) == rules::RuleKind::kVariableCfd) {
-      vcfd_rules_.push_back(rule);
-    }
-  }
-  group_index_.assign(vcfd_rules_.size(), GroupIndex());
-  filed_.assign(static_cast<size_t>(tracked_->size()), {});
-  for (data::TupleId t = 0; t < tracked_->size(); ++t) {
-    if (tracked_->live(t)) FileTuple(t);
-  }
 }
 
 Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
@@ -222,14 +177,13 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
         "ApplyDelta)");
   }
   // Polled again by the pipeline; this entry check makes an already-expired
-  // deadline fail before any edit is applied.
+  // deadline fail before any work is done.
   UC_RETURN_IF_ERROR(common::PollCancel(cancel_.get()));
-  const core::MatchEnvironment& env = engine_->environment();
-  const bool master_grew = env.indexed_master_size() > known_master_size_;
+  const int master_size = engine_->environment().indexed_master_size();
 
   DeltaResult result;
-  if (delta.empty() && !master_grew) {
-    // True no-op: no edits, no master growth — the covering repairs stand.
+  if (delta.empty() && master_size == known_master_size_) {
+    // True no-op: no edits, no master growth — the last run's repairs stand.
     result.generation = generation_;
     return result;
   }
@@ -270,385 +224,76 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
     }
   }
 
-  ++generation_;
-  result.generation = generation_;
-
-  // Seed the dirty set. The closure holds tuples that will be re-cleaned
-  // from their pristine values; everything is deliberately NOT the
-  // transitive component of "shares a group key" — on realistic data that
-  // component is the whole relation. Cross-group propagation is handled by
-  // the refinement rounds below, which widen the set only where a re-clean
-  // actually perturbs an outcome.
-  //
-  // Edit kinds seed asymmetrically. A tuple that LEAVES a group (delete, or
-  // the old-key side of an update) seeds its ex-peers eagerly: their
-  // committed repairs may lean on the departed tuple (e.g. it was the
-  // asserted donor), and because their repaired cells sit at confidence η a
-  // re-run over them is a no-op — no drift signal would ever fire. A tuple
-  // that JOINS a group (insert, or the new-key side of an update) seeds a
-  // bucket's members only when one of them disagrees with the newcomer on
-  // the rule's RHS: an agreeing vote cannot flip the group's committed
-  // resolution, so those peers ride along in the boundary ring at their
-  // committed values, while a disagreeing group must be re-voted from
-  // pristine values (group resolutions weigh the members' pre-repair
-  // states, which the committed ring no longer shows).
-  // `in_closure` / `edited` grow with inserts below.
-  const rules::RuleSet& rules = engine_->rules();
-  std::vector<uint8_t> in_closure(static_cast<size_t>(tracked_->size()), 0);
-  std::vector<uint8_t> edited(static_cast<size_t>(tracked_->size()), 0);
-  auto seed = [&](data::TupleId t) {
-    if (!tracked_->live(t) || in_closure[static_cast<size_t>(t)]) {
-      return false;
+  // Stage the edits on a copy of the pristine relation and run the whole
+  // pipeline over it: the batch run over the edited relation, against the
+  // warm (and possibly grown) match environment. Nothing is committed until
+  // it succeeds.
+  const auto stage = [&delta](data::Relation* relation) {
+    std::vector<data::TupleId> inserted_ids;
+    for (const auto& [t, tup] : delta.updates) relation->mutable_tuple(t) = tup;
+    for (data::TupleId t : delta.deletes) relation->EraseTuple(t);
+    for (const data::Tuple& tup : delta.inserts) {
+      inserted_ids.push_back(relation->AddTuple(tup));
     }
-    in_closure[static_cast<size_t>(t)] = 1;
-    return true;
+    return inserted_ids;
   };
-  // Every tuple sharing a bucket with `t` repaired against it; seed them.
-  auto seed_neighbors = [&](data::TupleId t) {
-    for (const auto& [i, key] : filed_[static_cast<size_t>(t)]) {
-      auto it = group_index_[i].find(key);
-      if (it == group_index_[i].end()) continue;
-      for (data::TupleId u : it->second) {
-        if (u != t) seed(u);
-      }
-    }
+  data::Relation working = pristine_->Clone();
+  result.inserted_ids = stage(&working);
+  FixJournal run_journal;
+  Result<std::vector<PhaseStats>> executed =
+      ExecutePipeline(&working, &run_journal);
+  if (!executed.ok()) {
+    return internal::Annotate(
+        executed.status(),
+        "ApplyDelta generation " + std::to_string(generation_ + 1) + ": ");
+  }
+
+  stage(pristine_.get());
+  *tracked_ = std::move(working);
+  known_master_size_ = master_size;
+  result.generation = ++generation_;
+  result.refinement_rounds = 1;
+  result.phases = std::move(executed).value();
+
+  // The tuples this delta visibly touched: the edited ones, plus every
+  // tuple whose canonical fix rows differ from the previous run's. Both
+  // canonical journals are sorted by (tuple, attribute), one row per cell.
+  FixJournal canonical = run_journal.Canonicalized();
+  std::vector<uint8_t> touched(static_cast<size_t>(tracked_->size()), 0);
+  for (const auto& [t, tup] : delta.updates) touched[static_cast<size_t>(t)] = 1;
+  for (data::TupleId t : delta.deletes) touched[static_cast<size_t>(t)] = 1;
+  for (data::TupleId t : result.inserted_ids) {
+    touched[static_cast<size_t>(t)] = 1;
+  }
+  const std::vector<FixEntry>& before = canonical_.entries();
+  const std::vector<FixEntry>& after = canonical.entries();
+  const auto cell_less = [](const FixEntry& a, const FixEntry& b) {
+    return a.tuple != b.tuple ? a.tuple < b.tuple : a.attribute < b.attribute;
   };
-  // Members of t's buckets whose committed RHS disagrees with t's raw value
-  // — the groups t's arrival can actually re-vote.
-  auto seed_disagreeing_neighbors = [&](data::TupleId t) {
-    const data::Tuple& raw = tracked_->tuple(t);
-    for (const auto& [i, key] : filed_[static_cast<size_t>(t)]) {
-      const rules::Cfd& cfd = rules.cfd(vcfd_rules_[i]);
-      if (!cfd.MatchesLhs(raw)) continue;
-      const data::AttributeId b = cfd.rhs()[0];
-      auto it = group_index_[i].find(key);
-      if (it == group_index_[i].end()) continue;
-      bool disagrees = false;
-      for (data::TupleId u : it->second) {
-        if (u != t && tracked_->live(u) &&
-            tracked_->tuple(u).value(b) != raw.value(b)) {
-          disagrees = true;
-          break;
-        }
-      }
-      if (!disagrees) continue;
-      for (data::TupleId u : it->second) {
-        if (u != t) seed(u);
+  for (size_t i = 0, j = 0; i < before.size() || j < after.size();) {
+    if (j == after.size() ||
+        (i < before.size() && cell_less(before[i], after[j]))) {
+      touched[static_cast<size_t>(before[i++].tuple)] = 1;
+    } else if (i == before.size() || cell_less(after[j], before[i])) {
+      touched[static_cast<size_t>(after[j++].tuple)] = 1;
+    } else {
+      const FixEntry& a = before[i++];
+      const FixEntry& b = after[j++];
+      if (a.old_value != b.old_value || a.new_value != b.new_value ||
+          a.phase != b.phase || a.rule != b.rule) {
+        touched[static_cast<size_t>(a.tuple)] = 1;
       }
     }
-  };
-
-  // Updates: re-point the tuple's pristine state at the new content. Old
-  // group members lose a peer — seed them; new group members gain one.
-  for (const auto& [t, tup] : delta.updates) {
-    seed_neighbors(t);  // old-key peers
-    UnfileTuple(t);
-    tracked_->mutable_tuple(t) = tup;
-    pristine_->mutable_tuple(t) = tup;
-    FileTuple(t);
-    seed(t);
-    seed_disagreeing_neighbors(t);  // new-key peers
-    edited[static_cast<size_t>(t)] = 1;
   }
-  // Deletes: tombstone in both relations; former peers repaired against the
-  // deleted tuple and must be re-derived without it.
-  for (data::TupleId t : delta.deletes) {
-    seed_neighbors(t);
-    UnfileTuple(t);
-    tracked_->EraseTuple(t);
-    pristine_->EraseTuple(t);
+  for (uint8_t flag : touched) result.affected += flag;
+  for (FixEntry entry : run_journal.entries()) {
+    if (!touched[static_cast<size_t>(entry.tuple)]) continue;
+    entry.generation = generation_;
+    journal_.Append(entry);
+    result.delta_journal.Append(std::move(entry));
   }
-  // Inserts: append to both relations (fresh ids), join the group indexes.
-  for (const data::Tuple& tup : delta.inserts) {
-    const data::TupleId t = tracked_->AddTuple(tup);
-    const data::TupleId shadow = pristine_->AddTuple(tup);
-    UC_CHECK_EQ(t, shadow);
-    covered_gen_.push_back(0);
-    filed_.emplace_back();
-    in_closure.push_back(0);
-    edited.push_back(1);
-    FileTuple(t);
-    seed(t);
-    seed_disagreeing_neighbors(t);
-    result.inserted_ids.push_back(t);
-  }
-
-  // Master growth (CleanEngine::RefreshMasterIndexes since the last call):
-  // MDs are per-tuple against the master, so a new master tuple affects
-  // exactly the data tuples it matches. Probe every live tuple — current and
-  // pristine projections, since different phases probe different states —
-  // and seed those with a match beyond the old extent.
-  if (master_grew) {
-    const rules::RuleSet& rules = engine_->rules();
-    for (data::TupleId t = 0; t < tracked_->size(); ++t) {
-      if (!tracked_->live(t) || in_closure[static_cast<size_t>(t)]) continue;
-      bool hit = false;
-      for (rules::RuleId rule = 0; rule < rules.num_rules() && !hit; ++rule) {
-        const core::MdMatcher* matcher = env.matcher(rule);
-        if (matcher == nullptr) continue;
-        for (data::TupleId s : matcher->Matches(tracked_->tuple(t))) {
-          if (s >= known_master_size_) {
-            hit = true;
-            break;
-          }
-        }
-        if (hit) break;
-        for (data::TupleId s : matcher->Matches(pristine_->tuple(t))) {
-          if (s >= known_master_size_) {
-            hit = true;
-            break;
-          }
-        }
-      }
-      if (hit) seed(t);
-    }
-    known_master_size_ = env.indexed_master_size();
-  }
-
-  std::vector<data::TupleId> closure;
-  for (data::TupleId t = 0; t < tracked_->size(); ++t) {
-    if (in_closure[static_cast<size_t>(t)]) closure.push_back(t);
-  }
-  if (closure.empty()) {
-    // Pure deletions with no surviving peers: nothing to re-clean.
-    return result;
-  }
-
-  // Scoped re-repair, to a fixpoint: clean the closure from its pristine
-  // values inside a ring of committed peers and widen it only on evidence
-  // that the edit reaches further. Two probes supply that evidence after
-  // each round — a ring tuple whose re-run moved a value off its committed
-  // state, and a closure outcome that leaves a violation straddling the
-  // closure boundary. Clean tuples reproduce themselves, so expansion
-  // chains stop at them instead of flooding the whole key-sharing
-  // component. Terminates: the closure only grows, bounded by |D|.
-  while (true) {
-    ++result.refinement_rounds;
-    // The scratch relation: closure tuples restarted from their pristine
-    // values, then every out-of-closure group peer of a closure tuple — the
-    // "boundary ring" — at its committed (already-repaired) state. The ring
-    // completes every violation group a closure tuple belongs to, so group
-    // resolutions see the same peer set a batch run would, with peers at the
-    // values the committed journal stands behind. Ring outcomes are
-    // discarded, not committed: a ring tuple whose scratch outcome drifts
-    // from its committed values is the signal that the fixpoint assumption
-    // ("peers outside the closure keep their repairs") failed for it, and
-    // the expansion check below pulls it into the closure. Ring members
-    // enter at final committed values rather than the mid-pipeline values a
-    // batch run would show — a theoretical gap shared with intermediate-key
-    // coincidences, validated empirically by delta_test's convergence pins.
-    // Closure and ring are interleaved in tracked-id order: group
-    // resolutions tie-break on tuple order, so the scratch relation must
-    // present members in the same relative order the batch run saw.
-    std::vector<uint8_t> in_ring(in_closure.size(), 0);
-    for (data::TupleId t : closure) {
-      for (const auto& [i, key] : filed_[static_cast<size_t>(t)]) {
-        auto it = group_index_[i].find(key);
-        if (it == group_index_[i].end()) continue;
-        for (data::TupleId u : it->second) {
-          if (tracked_->live(u) && !in_closure[static_cast<size_t>(u)]) {
-            in_ring[static_cast<size_t>(u)] = 1;
-          }
-        }
-      }
-    }
-    data::Relation scratch(tracked_->schema_ptr());
-    std::vector<data::TupleId> scratch_src;  // scratch id -> tracked id
-    std::vector<uint8_t> scratch_in_closure;
-    for (data::TupleId t = 0; t < tracked_->size(); ++t) {
-      if (in_closure[static_cast<size_t>(t)]) {
-        scratch.AddTuple(pristine_->tuple(t));
-        scratch_src.push_back(t);
-        scratch_in_closure.push_back(1);
-      } else if (in_ring[static_cast<size_t>(t)]) {
-        // Freeze the ring copy: cf 1.0 plus a deterministic mark on every
-        // cell. cRepair and eRepair skip asserted cells entirely (cRepair
-        // gains each as an assertion-grade donor), and the mark makes
-        // hRepair treat the cell's equivalence class as settled — frozen
-        // classes resolve via the no-union constant path, so a closure
-        // cell's class is never contaminated by a union with a cf-1.0 ring
-        // cell (which would distort its retarget costs and flip group
-        // resolutions away from what a batch run derives). Without the
-        // freeze, the pipeline's non-idempotence on its own output — e.g.
-        // eRepair re-filling a cell hRepair nulled as unresolvable — reads
-        // as spurious "drift" and floods the closure with tuples the edit
-        // never reached.
-        const data::TupleId sid = scratch.AddTuple(tracked_->tuple(t));
-        data::Tuple& pinned = scratch.mutable_tuple(sid);
-        for (data::AttributeId a = 0; a < arity; ++a) {
-          pinned.set_confidence(a, 1.0);
-          pinned.set_mark(a, data::FixMark::kDeterministic);
-        }
-        scratch_src.push_back(t);
-        scratch_in_closure.push_back(0);
-      }
-    }
-    FixJournal scratch_journal;
-    Result<std::vector<PhaseStats>> executed =
-        ExecutePipeline(&scratch, &scratch_journal);
-    if (!executed.ok()) {
-      // The raw edits are applied but the re-repair did not land; the
-      // journal still covers the pre-delta repairs of the closure tuples.
-      return internal::Annotate(
-          executed.status(),
-          "ApplyDelta generation " + std::to_string(generation_) + ": ");
-    }
-    result.phases = std::move(executed).value();
-
-    bool expanded = false;
-    for (size_t j = 0; j < scratch_src.size(); ++j) {
-      const data::TupleId t = scratch_src[j];
-      const data::Tuple& after = scratch.tuple(static_cast<data::TupleId>(j));
-      const data::Tuple& committed = tracked_->tuple(t);
-      if (scratch_in_closure[j]) {
-        // Expansion probe: a closure tuple whose re-clean changed a VALUE
-        // against what its peers repaired against can re-vote every group
-        // that reads the changed attribute — group resolutions weigh the
-        // members' states, so the peers of the touched rules' buckets must
-        // themselves be re-derived from pristine values. A vCFD group reads
-        // only its own attributes — the LHS for grouping, the RHS for
-        // resolution — so expand precisely the rules whose attributes the
-        // change touches (under both the committed-filed keys and the key
-        // of the new values), not every group the tuple belongs to.
-        // Confidence/mark drift alone neither expands nor commits (see
-        // below): re-derivation in a partial context is not perfectly
-        // provenance-faithful, and chasing that drift floods the closure.
-        //
-        // EDITED tuples are exempt from the committed-value comparison: for
-        // a fresh insert the "committed" state is just the raw edit, no
-        // peer ever repaired against it, and its re-clean is SUPPOSED to
-        // move values — reading those fixes as divergence recruits the
-        // whole key-sharing component for nothing. The one genuine hazard
-        // is its repaired LHS landing the tuple in a group that was never
-        // in the scratch; the outcome-key probe below covers exactly that.
-        auto value_changed = [&](data::AttributeId a) {
-          return after.value(a) != committed.value(a);
-        };
-        // Seed only the bucket members whose committed RHS disagrees with
-        // the re-cleaned outcome: agreeing peers are already at the value
-        // the group would resolve to, so pulling them in can change
-        // nothing. This is the same gate the insert seeding applies, and it
-        // is what stops expansion chains at clean tuples instead of
-        // flooding the key-sharing component.
-        auto seed_bucket = [&](size_t i, const data::GroupKey& key,
-                               data::AttributeId b) {
-          auto it = group_index_[i].find(key);
-          if (it == group_index_[i].end()) return;
-          bool disagrees = false;
-          for (data::TupleId u : it->second) {
-            if (u != t && tracked_->live(u) &&
-                tracked_->tuple(u).value(b) != after.value(b)) {
-              disagrees = true;
-              break;
-            }
-          }
-          if (!disagrees) return;
-          for (data::TupleId u : it->second) {
-            if (u != t && seed(u)) expanded = true;
-          }
-        };
-        const bool was_edited = edited[static_cast<size_t>(t)] != 0;
-        for (size_t i = 0; i < vcfd_rules_.size(); ++i) {
-          const rules::Cfd& cfd = rules.cfd(vcfd_rules_[i]);
-          if (!was_edited) {
-            bool touched = value_changed(cfd.rhs()[0]);
-            for (data::AttributeId a : cfd.lhs()) {
-              if (touched) break;
-              touched = value_changed(a);
-            }
-            if (!touched) continue;
-            for (const auto& [ri, key] : filed_[static_cast<size_t>(t)]) {
-              if (ri == i) seed_bucket(i, key, cfd.rhs()[0]);
-            }
-          }
-          if (!cfd.MatchesLhs(after)) continue;
-          // For an edited tuple this probes every rule with the OUTCOME
-          // values: a peer that agreed with the raw edit (and so rode
-          // pinned in the ring) can disagree with the repaired outcome —
-          // the disagreement gate in seed_bucket catches exactly the
-          // buckets where that happened and no others.
-          seed_bucket(i, data::GroupKey::Project(after, cfd.lhs()),
-                      cfd.rhs()[0]);
-        }
-      } else {
-        // Drift probe: a ring tuple whose re-run moved a VALUE off its
-        // committed state is a fixpoint violation — the edit genuinely
-        // reaches it, so re-clean it from pristine (next round completes
-        // its own groups with a fresh ring). Confidence/mark drift alone is
-        // expected — re-running phases over already-repaired values is not
-        // perfectly idempotent (e.g. a repaired value can now MD-match
-        // master data and be asserted) — and is discarded with the ring
-        // outcome.
-        for (data::AttributeId at = 0; at < arity; ++at) {
-          if (after.value(at) != committed.value(at)) {
-            if (seed(t)) expanded = true;
-            break;
-          }
-        }
-      }
-    }
-    if (expanded) {
-      closure.clear();
-      for (data::TupleId t = 0; t < tracked_->size(); ++t) {
-        if (in_closure[static_cast<size_t>(t)]) closure.push_back(t);
-      }
-      continue;
-    }
-
-    // Converged: commit back into the tracked relation, refile under the
-    // new current keys, and journal the fixes under this generation
-    // (remapping scratch ids to tracked ids). Only edited tuples and
-    // closure tuples whose re-clean changed a VALUE commit; a closure tuple
-    // that re-cleans to its committed values (possibly with confidence or
-    // mark drift — re-derivation in a partial context is not perfectly
-    // provenance-faithful) keeps its committed state AND its existing
-    // journal entries, which a full batch run already stands behind. Ring
-    // entries are dropped wholesale — the ring is context.
-    std::vector<uint8_t> commits(scratch_src.size(), 0);
-    for (size_t j = 0; j < scratch_src.size(); ++j) {
-      if (!scratch_in_closure[j]) continue;
-      const data::TupleId t = scratch_src[j];
-      const data::Tuple& after = scratch.tuple(static_cast<data::TupleId>(j));
-      bool changed = edited[static_cast<size_t>(t)] != 0;
-      for (data::AttributeId at = 0; at < arity && !changed; ++at) {
-        changed = after.value(at) != tracked_->tuple(t).value(at);
-      }
-      if (!changed) continue;
-      commits[j] = 1;
-      tracked_->mutable_tuple(t) = after;
-      UnfileTuple(t);
-      FileTuple(t);
-      covered_gen_[static_cast<size_t>(t)] = generation_;
-    }
-    for (FixEntry entry : scratch_journal.entries()) {
-      if (entry.tuple < 0 ||
-          entry.tuple >= static_cast<data::TupleId>(scratch_src.size()) ||
-          !commits[static_cast<size_t>(entry.tuple)]) {
-        continue;
-      }
-      entry.tuple = scratch_src[static_cast<size_t>(entry.tuple)];
-      entry.generation = generation_;
-      journal_.Append(entry);
-      result.delta_journal.Append(std::move(entry));
-    }
-    break;
-  }
-  result.affected = static_cast<int>(closure.size());
+  canonical_ = std::move(canonical);
   return result;
-}
-
-FixJournal Session::CanonicalJournal() const {
-  FixJournal covering;
-  if (tracked_ == nullptr) return covering;
-  for (const FixEntry& entry : journal_.entries()) {
-    if (entry.tuple < 0 || entry.tuple >= tracked_->size()) continue;
-    if (!tracked_->live(entry.tuple)) continue;
-    if (entry.generation != covered_gen_[static_cast<size_t>(entry.tuple)]) {
-      continue;  // superseded by a later re-clean of this tuple
-    }
-    covering.Append(entry);
-  }
-  return covering.Canonicalized();
 }
 
 std::vector<std::string> Session::PhaseNames() const {

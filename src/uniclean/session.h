@@ -17,25 +17,19 @@
 // two concurrent Runs must not clean the same relation.
 //
 // Incremental cleaning: a *tracked* session (CleanEngine::NewTrackedSession)
-// additionally maintains, across its one Run(), the violation-group indexes
-// the repair engines grouped tuples by. ApplyDelta(Delta) then folds a batch
-// of inserts/updates/deletes in without re-cleaning the world: it seeds the
-// set of tuples whose repairs could change (the edited tuples, every tuple
-// sharing a variable-CFD LHS group with one, and tuples newly matching
-// appended master data), re-runs the phase pipeline over just that set —
-// from pristine (pre-cleaning) values, with the set's out-of-closure group
-// peers present as read-only context at their committed values, against the
-// engine's warm match environment — and iterates to a fixpoint: whenever a
-// re-cleaned tuple's outcome differs from its committed state, its
-// violation groups are pulled in and the round repeats, so cross-group
-// effects propagate exactly as far as they reach and no further. The resulting fixes are journaled under a
-// fresh delta generation:
+// additionally keeps its relation's pristine (pre-cleaning) state and the
+// latest run's journal. ApplyDelta(Delta) then folds a batch of
+// inserts/updates/deletes in: it stages the edits on a copy of the pristine
+// relation and re-runs the whole phase pipeline over it against the engine's
+// warm match environment — by construction the batch run over the edited
+// relation — and commits the result only if that run succeeds. The fixes of
+// the tuples the delta touched are journaled under a fresh generation:
 //
 //   uniclean::Session session = engine->NewTrackedSession();
 //   auto initial = session.Run(&d);              // generation 0
 //   uniclean::Delta delta;
 //   delta.inserts.push_back(std::move(row));
-//   auto dr = session.ApplyDelta(delta);         // generation 1: dirty set
+//   auto dr = session.ApplyDelta(delta);         // generation 1
 //   session.CanonicalJournal();                  // == batch run over final d
 
 #ifndef UNICLEAN_UNICLEAN_SESSION_H_
@@ -44,15 +38,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/result.h"
-#include "data/group_key.h"
 #include "data/relation.h"
-#include "rules/ruleset.h"
 #include "uniclean/fix_journal.h"
 #include "uniclean/phase.h"
 
@@ -80,9 +71,9 @@ struct CleanResult {
 
 /// One batch of edits to a tracked relation, applied by
 /// Session::ApplyDelta in the order updates, deletes, inserts. Tuple
-/// content (values + confidences) is taken as the new *pristine* state:
-/// marks reset and the incremental re-clean starts the affected tuples from
-/// these values, exactly as a batch run over the edited relation would.
+/// content (values + confidences) is taken as the new *pristine* state: the
+/// re-run starts the edited tuples from these values, exactly as a batch run
+/// over the edited relation would.
 struct Delta {
   /// New tuples, appended with fresh ids (reported in
   /// DeltaResult::inserted_ids). Arity must match the data schema.
@@ -104,19 +95,19 @@ struct DeltaResult {
   int generation = 0;
   /// Ids minted for Delta::inserts, index-matched to the input.
   std::vector<data::TupleId> inserted_ids;
-  /// Tuples re-cleaned (the edit's violation-group neighborhood, widened to
-  /// the repair fixpoint) — the incremental cost driver, typically << the
-  /// relation size.
+  /// Tuples the delta edited or whose canonical fix rows changed — the
+  /// reach of the edit's effect, not its cost (every delta re-runs the
+  /// whole relation).
   int affected = 0;
-  /// Scoped re-repair rounds run: 1 plus one per closure expansion (a
-  /// re-cleaned tuple's outcome changed, so its groups were pulled in).
+  /// Pipeline runs: 1, or 0 for a no-op delta.
   int refinement_rounds = 0;
-  /// Fixes of this generation only, with tuple ids of the tracked relation.
+  /// This generation's entries: the fresh fixes of every `affected` tuple,
+  /// with tuple ids of the tracked relation.
   FixJournal delta_journal;
-  /// Per-phase statistics of the final refinement round.
+  /// Per-phase statistics of the re-run.
   std::vector<PhaseStats> phases;
 
-  /// Sum of the final round's phase fix counts.
+  /// Sum of the re-run's phase fix counts.
   int total_fixes() const;
 };
 
@@ -142,64 +133,47 @@ class Session {
   ///
   /// On a tracked session (EnableDeltaTracking /
   /// CleanEngine::NewTrackedSession) a Run additionally snapshots the
-  /// relation's pristine state, accumulates the journal and builds the
-  /// violation-group indexes ApplyDelta maintains; the relation must then
-  /// outlive the session's delta use, and a repeated Run restarts tracking
-  /// from scratch (generation 0) on its relation.
+  /// relation's pristine state and keeps the journal for ApplyDelta; the
+  /// relation must then outlive the session's delta use, and a repeated Run
+  /// restarts tracking from scratch (generation 0) on its relation.
   Result<CleanResult> Run(data::Relation* data);
 
   /// Arms delta tracking for the next Run (see ApplyDelta). Must be called
   /// before Run; prefer CleanEngine::NewTrackedSession, which returns a
   /// session with tracking already armed. Tracking costs one pristine clone
-  /// of the relation plus the group indexes (O(|D|) ids).
+  /// of the relation plus the journal.
   void EnableDeltaTracking() { track_deltas_ = true; }
 
-  /// Incrementally folds `delta` into the tracked relation: applies the
-  /// edits, seeds the affected tuples through the maintained variable-CFD
-  /// group indexes (plus tuples newly matching master data appended since
-  /// the last call — see CleanEngine::RefreshMasterIndexes), and re-runs the
-  /// phase pipeline over only that set, restarted from pristine values
-  /// against the warm match environment, widening to a fixpoint when
-  /// outcomes change. Fixes are journaled under a fresh generation; a
-  /// re-cleaned tuple's earlier-generation entries stay as history and
-  /// CanonicalJournal() exposes the covering view. Fails with
-  /// FailedPrecondition before a tracked Run() and with InvalidArgument on
-  /// bad edits (unknown or dead tuple ids, arity mismatches), in which case
-  /// nothing was applied. An empty delta with no master growth is a no-op.
-  ///
-  /// Convergence: the closure re-runs the same phases from the same pristine
-  /// inputs a batch run over the final relation would see — with its
-  /// violation-group peers completed by a frozen "ring" of out-of-closure
-  /// tuples at their committed values (pinned so the pipeline treats them as
-  /// settled context, not repair targets), in tracked-id order so group
-  /// tie-breaks match the batch run. The invariant this buys is the
-  /// canonical fix set — WHAT was repaired: the (tuple, attribute, old, new)
-  /// rows of FixJournal::CanonicalFixSetCsv() match a batch run over the
-  /// final relation (asserted in tests/delta_test.cc). Which phase/rule gets
-  /// credited for a fix is derivation provenance and may differ between the
-  /// incremental and batch trajectories. Tuples outside the closure keep
-  /// their existing repairs untouched.
+  /// Folds `delta` into the tracked relation: stages the edits on a copy of
+  /// the pristine relation, re-runs the phase pipeline over all of it against
+  /// the warm match environment (which sees master data appended since the
+  /// last call — see CleanEngine::RefreshMasterIndexes), and on success
+  /// commits the repaired relation, the new pristine state and the journal.
+  /// The result is the batch run over the edited relation, so
+  /// CanonicalJournal() then equals a batch run's, provenance included.
+  /// Fails with FailedPrecondition before a tracked Run() and with
+  /// InvalidArgument on bad edits (unknown or dead tuple ids, arity
+  /// mismatches); on any failure, cancellation included, nothing is applied
+  /// and generation() does not change. An empty delta with no master growth
+  /// is a no-op.
   Result<DeltaResult> ApplyDelta(const Delta& delta);
 
-  /// The covering fix set of a tracked session: for every live tuple, the
-  /// journal entries of the generation that last cleaned it, canonicalized
-  /// (sorted by (tuple, attr), generations zeroed — see
-  /// FixJournal::Canonicalized). Its CanonicalFixSetCsv() rendering is
-  /// byte-comparable to a batch run's over the final relation; the
-  /// full-provenance rows additionally carry phase/rule attribution, which
-  /// is trajectory-dependent. Empty before a tracked Run().
-  FixJournal CanonicalJournal() const;
+  /// The canonical journal of the latest Run or ApplyDelta (see
+  /// FixJournal::Canonicalized): byte-identical to a batch run's over the
+  /// current relation. Empty before a tracked Run().
+  const FixJournal& CanonicalJournal() const { return canonical_; }
 
   /// Full accumulated journal of a tracked session: the initial Run's
-  /// generation-0 entries plus every delta generation's, in append order.
+  /// generation-0 entries plus every delta generation's (the fresh entries
+  /// of the tuples it touched), in append order.
   const FixJournal& journal() const { return journal_; }
 
   /// Delta generations applied since the tracked Run() (0 right after it).
   int generation() const { return generation_; }
 
-  /// Observer invoked before and after every phase of Run() (and of each
-  /// ApplyDelta refinement round, where the event's data pointer is the
-  /// scoped scratch relation, not the tracked one).
+  /// Observer invoked before and after every phase of Run() and
+  /// ApplyDelta. An ApplyDelta event's data pointer is the staged copy the
+  /// re-run cleans, not the tracked relation.
   void set_progress_callback(ProgressCallback callback) {
     progress_ = std::move(callback);
   }
@@ -216,9 +190,9 @@ class Session {
   ///    unchanged and costs no copy.) A tracked session whose Run was
   ///    cancelled resets to the not-yet-run state and stays usable for a
   ///    fresh Run().
-  ///  * ApplyDelta keeps its existing failure contract: the raw edits are
-  ///    applied, the scratch re-repair is discarded, the journal still
-  ///    covers the pre-delta repairs, and the session remains usable.
+  ///  * ApplyDelta is all-or-nothing too: it always cleans a staged copy, so
+  ///    a cancelled delta leaves the relation, generation() and both
+  ///    journals at their pre-delta state, and the session remains usable.
   void set_cancel_token(std::shared_ptr<const common::CancelToken> token) {
     cancel_ = std::move(token);
   }
@@ -236,19 +210,9 @@ class Session {
           std::vector<std::unique_ptr<Phase>> phases)
       : engine_(std::move(engine)), phases_(std::move(phases)) {}
 
-  /// The shared pipeline executor behind Run and ApplyDelta's rounds.
+  /// The shared pipeline executor behind Run and ApplyDelta.
   Result<std::vector<PhaseStats>> ExecutePipeline(data::Relation* data,
                                                   FixJournal* journal);
-
-  /// Files tuple `t` in every variable-CFD group index, under both its
-  /// current and its pristine LHS key (repair coupling can flow through
-  /// either: the batch pipeline groups on pristine values early and on
-  /// repaired values late).
-  void FileTuple(data::TupleId t);
-  /// Removes `t` from every bucket filed_[t] points at.
-  void UnfileTuple(data::TupleId t);
-  /// Rebuilds vcfd_rules_/group_index_/filed_ from the tracked relation.
-  void BuildGroupIndex();
 
   std::shared_ptr<const CleanEngine> engine_;
   std::vector<std::unique_ptr<Phase>> phases_;
@@ -256,20 +220,13 @@ class Session {
   std::shared_ptr<const common::CancelToken> cancel_;
 
   // --- delta-tracking state (unused unless track_deltas_) ------------------
-  using GroupIndex =
-      std::unordered_map<data::GroupKey, std::vector<data::TupleId>,
-                         data::GroupKeyHash>;
   bool track_deltas_ = false;
   data::Relation* tracked_ = nullptr;         // borrowed; bound by Run
   std::unique_ptr<data::Relation> pristine_;  // pre-cleaning snapshot
   FixJournal journal_;                        // all generations, append order
-  std::vector<int> covered_gen_;              // per tuple: covering generation
+  FixJournal canonical_;                      // the latest run's, canonical
   int generation_ = 0;
-  int known_master_size_ = 0;  // master extent already accounted for
-  std::vector<rules::RuleId> vcfd_rules_;
-  std::vector<GroupIndex> group_index_;  // parallel to vcfd_rules_
-  // Per tuple: the (vcfd index, key) buckets it is filed under.
-  std::vector<std::vector<std::pair<size_t, data::GroupKey>>> filed_;
+  int known_master_size_ = 0;  // master extent the latest run saw
 };
 
 }  // namespace uniclean

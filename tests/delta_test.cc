@@ -1,9 +1,10 @@
 // Incremental cleaning (Session::ApplyDelta): the convergence contract —
 // streaming edits through a tracked session yields the same repaired cells
 // and the same canonical fix set as one cold batch run over the final
-// relation — plus the edge cases around it: batched edits, updates,
-// deletes/tombstones, fresh violation groups, master growth, no-op deltas,
-// validation atomicity, and concurrent tracked sessions (the TSan target).
+// relation — at |D| = 220 and at |D| = |Dm| = 1000, plus the edge cases
+// around it: batched edits, updates, deletes/tombstones, fresh violation
+// groups, master growth, no-op deltas, validation atomicity, cancellation
+// atomicity, and concurrent tracked sessions (the TSan target).
 
 #include <memory>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "data/relation.h"
 #include "data/value.h"
 #include "gen/dataset.h"
+#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 #include "uniclean/session.h"
 
@@ -156,6 +158,66 @@ TEST_P(DeltaConvergenceTest, OneBatchedDeltaConvergesToBatch) {
 
 INSTANTIATE_TEST_SUITE_P(Datasets, DeltaConvergenceTest,
                          ::testing::Values("HOSP", "DBLP", "TPCH"));
+
+// At |D| = |Dm| = 1000 an edit's reach spans hundreds of tuples. Ten
+// single-tuple inserts streamed through a tracked session must still land
+// on the batch result, with and without hRepair.
+void ExpectHosp1000StreamConverges(uint64_t seed, bool hrepair) {
+  constexpr int kInitial = 1000;
+  constexpr int kHeld = 10;
+  gen::GeneratorConfig config;
+  config.num_tuples = kInitial + kHeld;
+  config.master_size = 1000;
+  config.seed = seed;
+  gen::Dataset ds = gen::GenerateHosp(config);
+  auto built = EngineBuilder()
+                   .WithDataSchema(ds.dirty.schema_ptr())
+                   .WithMaster(&ds.master)
+                   .WithRules(&ds.rules)
+                   .WithEta(1.0)
+                   .WithPhaseFactories(
+                       MakeDefaultPhaseFactories(true, true, hrepair))
+                   .BuildEngine();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::shared_ptr<CleanEngine> engine = std::move(built).value();
+
+  data::Relation incremental(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < kInitial; ++t) {
+    incremental.AddTuple(ds.dirty.tuple(t));
+  }
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+  for (int k = 0; k < kHeld; ++k) {
+    Delta delta;
+    delta.inserts.push_back(ds.dirty.tuple(kInitial + k));
+    auto dr = session.ApplyDelta(delta);
+    ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+    EXPECT_EQ(dr->generation, k + 1);
+  }
+
+  data::Relation batch = ds.dirty.Clone();
+  Session batch_session = engine->NewTrackedSession();
+  ASSERT_TRUE(batch_session.Run(&batch).ok());
+  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
+  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(),
+            batch_session.CanonicalJournal().CanonicalFixSetCsv());
+}
+
+TEST(DeltaConvergenceTest, Hosp1000StreamSeed1ConvergesToBatch) {
+  ExpectHosp1000StreamConverges(/*seed=*/1, /*hrepair=*/true);
+}
+
+TEST(DeltaConvergenceTest, Hosp1000StreamSeed2ConvergesToBatch) {
+  ExpectHosp1000StreamConverges(/*seed=*/2, /*hrepair=*/true);
+}
+
+TEST(DeltaConvergenceTest, Hosp1000StreamSeed1WithoutHRepairConvergesToBatch) {
+  ExpectHosp1000StreamConverges(/*seed=*/1, /*hrepair=*/false);
+}
+
+TEST(DeltaConvergenceTest, Hosp1000StreamSeed2WithoutHRepairConvergesToBatch) {
+  ExpectHosp1000StreamConverges(/*seed=*/2, /*hrepair=*/false);
+}
 
 // --- Updates --------------------------------------------------------------
 
@@ -510,6 +572,61 @@ TEST(CancellationTest, CancelledRunNeverTearsState) {
   }
   // The poll spread must actually exercise both outcomes, or the property
   // above pinned nothing.
+  EXPECT_TRUE(saw_cancel);
+  EXPECT_TRUE(saw_success);
+}
+
+TEST(CancellationTest, CancelledApplyDeltaAppliesNothing) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/7, /*num_tuples=*/120);
+  auto engine = MakeEngine(ds);
+
+  data::Relation initial(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < ds.dirty.size() - 1; ++t) {
+    initial.AddTuple(ds.dirty.tuple(t));
+  }
+  Delta insert_last;
+  insert_last.inserts.push_back(ds.dirty.tuple(ds.dirty.size() - 1));
+
+  data::Relation batch = ds.dirty.Clone();
+  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+
+  bool saw_cancel = false;
+  bool saw_success = false;
+  for (int64_t polls : {0, 1, 2, 3, 5, 8, 13, 21, 34, 200, 1000000}) {
+    data::Relation relation = initial.Clone();
+    Session session = engine->NewTrackedSession();
+    ASSERT_TRUE(session.Run(&relation).ok());
+    const std::string relation_before = RelationCsv(relation);
+    const std::string journal_before = CanonicalCsv(session.CanonicalJournal());
+    const size_t history_before = session.journal().size();
+
+    auto token = std::make_shared<common::CancelToken>();
+    token->CancelAfterChecksForTest(polls);
+    session.set_cancel_token(token);
+    auto dr = session.ApplyDelta(insert_last);
+    session.set_cancel_token(nullptr);
+    if (dr.ok()) {
+      saw_success = true;
+    } else {
+      saw_cancel = true;
+      EXPECT_EQ(dr.status().code(), StatusCode::kCancelled)
+          << dr.status().ToString();
+      EXPECT_EQ(RelationCsv(relation), relation_before)
+          << "cancelled delta touched the relation (polls=" << polls << ")";
+      EXPECT_EQ(session.generation(), 0) << "polls=" << polls;
+      EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), journal_before)
+          << "polls=" << polls;
+      EXPECT_EQ(session.journal().size(), history_before) << "polls=" << polls;
+      // The session stays usable: the same delta, un-cancelled, lands.
+      auto retried = session.ApplyDelta(insert_last);
+      ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+      EXPECT_EQ(retried->generation, 1);
+    }
+    EXPECT_EQ(session.generation(), 1) << "polls=" << polls;
+    EXPECT_EQ(LiveCellDiff(relation, batch), 0) << "polls=" << polls;
+    EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv)
+        << "polls=" << polls;
+  }
   EXPECT_TRUE(saw_cancel);
   EXPECT_TRUE(saw_success);
 }

@@ -726,6 +726,38 @@ int64_t MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// This process's VmSize in kB, or -1 when /proc/self/status is unreadable.
+long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+TEST(ServeTest, SequentialConnectionsDoNotAccumulateReaderThreads) {
+  // Every connection gets a reader thread with its own stack (~8 MB of
+  // address space). The daemon must join readers whose connection closed,
+  // so 64 connections one after another cost about one stack, not 64. One
+  // worker, warmed by the first ping, keeps malloc arenas out of the sum.
+  DaemonOptions options;
+  options.n_workers = 1;
+  auto daemon = StartFaultDaemon(options);
+  const auto connect_ping_close = [&] {
+    Client client = ConnectTo(*daemon);
+    ASSERT_TRUE(client.Ping().ok());
+    client.Close();
+    ASSERT_TRUE(Eventually([&] { return daemon->live_connections() == 0; }));
+  };
+  connect_ping_close();
+  const long before_kb = VmSizeKb();
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < 64; ++i) connect_ping_close();
+  EXPECT_LT(VmSizeKb() - before_kb, 64 * 1024)
+      << "VmSize grew by " << (VmSizeKb() - before_kb) / 1024 << " MB";
+}
+
 TEST(FaultInjectionTest, StalledWorkerDeadlineFiresWithinBound) {
   // The acceptance pin: a wedged worker plus a 100 ms request deadline must
   // answer kDeadlineExceeded in well under a second, and the lone worker

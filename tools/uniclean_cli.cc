@@ -17,9 +17,9 @@
 // the engine's match-memo statistics after the run; --memo-cap bounds each
 // memo map's resident entries (0 = unbounded), the long-lived-serving knob.
 // --delta names a CSV (same header as the data file) whose rows are applied
-// as *inserts* after the batch clean, through Session::ApplyDelta — only the
-// tuples they can affect are re-cleaned, and the journal written afterwards
-// is the canonical (batch-equivalent) one.
+// as *inserts* after the batch clean, through Session::ApplyDelta — one warm
+// re-run of the edited relation — and the journal written afterwards is the
+// canonical one, equal to a batch run's over the edited relation.
 
 #include <chrono>
 #include <cstdio>
@@ -66,7 +66,7 @@ void Usage(const char* argv0) {
       "unbounded)\n"
       "  [--delta E.csv]           rows (same header as D) inserted after "
       "the clean\n"
-      "                            and re-cleaned incrementally\n",
+      "                            and folded in by a tracked re-run\n",
       argv0);
 }
 
@@ -289,10 +289,8 @@ int Run(const CliOptions& opts) {
       original.AddTuple(tuple);
     }
     std::printf(
-        "delta: %zu inserts, %d tuples re-cleaned in %d round(s), "
-        "%d fixes, %.3fs\n",
-        delta.inserts.size(), dr->affected, dr->refinement_rounds,
-        dr->total_fixes(),
+        "delta: %zu inserts, %d tuples affected, %d fixes, %.3fs\n",
+        delta.inserts.size(), dr->affected, dr->total_fixes(),
         std::chrono::duration<double>(t4 - t3).count());
   }
 
@@ -337,8 +335,8 @@ int Run(const CliOptions& opts) {
   }
   std::printf("wrote %s\n", opts.out_path.c_str());
 
-  // After a delta the batch journal is stale for the re-cleaned tuples;
-  // the canonical journal is the batch-equivalent covering set.
+  // After a delta the batch journal is stale; the canonical journal is the
+  // latest re-run's, equal to a batch run's over the edited relation.
   const FixJournal written_journal = opts.delta_path.empty()
                                          ? result->journal
                                          : session.CanonicalJournal();

@@ -298,10 +298,10 @@ int main(int argc, char** argv) {
         return 3;
       }
       std::printf(
-          "delta: generation %u, %u tuples re-cleaned in %u round(s), "
-          "%u fixes, %zu inserted\n",
-          dr->generation, dr->affected, dr->refinement_rounds,
-          dr->total_fixes, dr->inserted_ids.size());
+          "delta: generation %u, %u tuples affected, %u fixes, %zu "
+          "inserted\n",
+          dr->generation, dr->affected, dr->total_fixes,
+          dr->inserted_ids.size());
       if (!cli.delta_journal_path.empty() &&
           !WriteFile(cli.delta_journal_path, dr->journal_csv)) {
         return 1;
