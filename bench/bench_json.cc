@@ -10,8 +10,8 @@
 // perf trajectory (BENCH_pipeline.json at the repo root).
 //
 // Per point it records wall time, items/sec, peak RSS and the number/volume
-// of heap allocations (via a counting operator new hook local to this
-// binary).
+// of heap allocations (via the counting operator new hook of alloc_hook.cc,
+// linked into this binary only).
 //
 // Usage:
 //   bench_json [--out FILE] [--quick] [--smoke SECONDS]
@@ -35,12 +35,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "common/json.h"
 #include "core/md_matcher.h"
 #include "data/string_pool.h"
@@ -55,38 +55,6 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #endif
-
-// ---------------------------------------------------------------------------
-// Allocation counting hook. Only linked into this binary; counts every
-// global operator new so a point's `allocs` / `alloc_bytes` expose how much
-// the hot paths churn the heap.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<unsigned long long> g_alloc_count{0};
-std::atomic<unsigned long long> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -156,13 +124,13 @@ Measurement Measure(const std::string& name, const std::string& dataset,
   m.num_tuples = num_tuples;
   m.master_size = master_size;
   m.phases = phases;
-  unsigned long long a0 = g_alloc_count.load(std::memory_order_relaxed);
-  unsigned long long b0 = g_alloc_bytes.load(std::memory_order_relaxed);
+  const bench::AllocTally before = bench::ProcessAllocs();
   double t0 = Now();
   m.extra = fn();
   m.wall_s = Now() - t0;
-  m.allocs = g_alloc_count.load(std::memory_order_relaxed) - a0;
-  m.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed) - b0;
+  const bench::AllocTally after = bench::ProcessAllocs();
+  m.allocs = after.count - before.count;
+  m.alloc_bytes = after.bytes - before.bytes;
   m.rss_kb = CurrentRssKb();
   m.peak_rss_kb = PeakRssKb();
   m.items_per_sec =

@@ -5,9 +5,9 @@
 // engine built its own MdMatcher (suffix tree + equality index) and re-warmed
 // its own memo caches per run, paying the §5.2 index cost three times per
 // pipeline. A MatchEnvironment is scoped to a (rule set, master relation)
-// pair instead: it builds each MD's matcher exactly once and owns the
-// similarity / blocking / match memos, which — because cell values are
-// interned ids in the process-wide StringPool — stay valid across phases
+// pair instead: it builds each MD's matcher exactly once and owns their
+// match-list memos, which — because cell values are interned ids in the
+// process-wide StringPool — stay valid across phases
 // *and* across successive data relations cleaned against the same master
 // (the warm serving scenario: every Session a uniclean::CleanEngine stamps
 // out probes the engine's one environment).
@@ -77,8 +77,8 @@ class MatchEnvironment {
   /// Folds master tuples appended since construction (or the previous
   /// refresh) into every matcher's indexes (see MdMatcher::AppendMaster):
   /// equality indexes and all-master lists grow incrementally, suffix trees
-  /// are rebuilt, match/blocking memos are dropped, similarity memos
-  /// survive. Requires exclusive access — no Session may be running against
+  /// are rebuilt, match-list memos are dropped. Requires exclusive access —
+  /// no Session may be running against
   /// this environment and no references into its memos may be live. The
   /// master must only have grown by appends; indexed tuples must be
   /// unchanged. Returns the number of newly indexed master tuples.

@@ -32,7 +32,7 @@ uint64_t MdMatcher::ConstructedCount() {
 
 namespace {
 
-/// Per-(thread, matcher) scratch for results that bypass the memos
+/// Per-(thread, matcher) scratch for match lists that bypass the memo
 /// (use_memos = false, or admission refused past memo_capacity). Keyed by
 /// matcher so a reference handed out by one matcher survives the same
 /// thread probing *another* matcher — the guarantee user phases iterating
@@ -44,37 +44,48 @@ namespace {
 /// so in practice only dead matchers' entries are dropped.
 constexpr size_t kScratchMapLimit = 1024;
 
-std::vector<data::TupleId>& ScratchFor(
-    const void* matcher,
-    std::unordered_map<const void*, std::vector<data::TupleId>>& map) {
-  if (map.size() > kScratchMapLimit && map.count(matcher) == 0) map.clear();
-  return map[matcher];
-}
-
-thread_local std::unordered_map<const void*, std::vector<data::TupleId>>
-    t_candidate_scratch;
 thread_local std::unordered_map<const void*, std::vector<data::TupleId>>
     t_match_scratch;
+
+std::vector<data::TupleId>& MatchScratchFor(const void* matcher) {
+  if (t_match_scratch.size() > kScratchMapLimit &&
+      t_match_scratch.count(matcher) == 0) {
+    t_match_scratch.clear();
+  }
+  return t_match_scratch[matcher];
+}
+
+/// Suffix-tree blocking candidates of the current probe. Candidates() hands
+/// this out, but its result never leaves Matches() / FindFirstMatch(), so
+/// one plain thread_local serves every matcher.
+thread_local std::vector<data::TupleId> t_candidates;
 
 }  // namespace
 
 MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
                      const MdMatcherOptions& options)
+    : MdMatcher(md, dm, options, RestoreTag{}) {
+  g_constructed_count.fetch_add(1, std::memory_order_relaxed);
+  if (!options_.use_blocking) return;
+  if (!equality_clauses_.empty()) {
+    IndexEqualityRange(0, dm_.size());
+  } else if (blocking_clause_ >= 0) {
+    RebuildSuffixTree();
+  }
+}
+
+MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
+                     const MdMatcherOptions& options, RestoreTag)
     : md_(md),
       dm_(dm),
       options_(options),
-      blocking_cache_(options.memo_capacity),
       match_cache_(options.memo_capacity),
       indexed_masters_(dm.size()) {
-  g_constructed_count.fetch_add(1, std::memory_order_relaxed);
   UC_CHECK(md_.normalized()) << "MdMatcher requires a normalized MD";
   // Matches() keys its memo on the full premise projection; enforce the
   // GroupKey width limit here for matchers built outside RuleSet::Make.
   UC_CHECK_LE(md_.premise().size(), data::GroupKey::kMaxParts)
       << "MdMatcher: MD " << md_.name() << " premise too wide";
-  for (size_t i = 0; i < md_.premise().size(); ++i) {
-    sim_cache_.emplace_back(options.memo_capacity);
-  }
   if (options_.use_blocking) {
     for (size_t i = 0; i < md_.premise().size(); ++i) {
       if (md_.premise()[i].predicate.is_equality()) {
@@ -86,49 +97,6 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
   }
   // The brute-force and empty-premise paths scan every master tuple; the
   // list is materialized here so probes share it without synchronization.
-  if (!options_.use_blocking ||
-      (equality_clauses_.empty() && blocking_clause_ < 0)) {
-    all_masters_.resize(static_cast<size_t>(dm_.size()));
-    for (data::TupleId s = 0; s < dm_.size(); ++s) {
-      all_masters_[static_cast<size_t>(s)] = s;
-    }
-  }
-  if (!options_.use_blocking) return;
-  if (!equality_clauses_.empty()) {
-    IndexEqualityRange(0, dm_.size());
-    return;
-  }
-  if (blocking_clause_ >= 0) RebuildSuffixTree();
-}
-
-MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
-                     const MdMatcherOptions& options, RestoreTag)
-    : md_(md),
-      dm_(dm),
-      options_(options),
-      blocking_cache_(options.memo_capacity),
-      match_cache_(options.memo_capacity),
-      indexed_masters_(dm.size()) {
-  // The snapshot restore path: identical derived state (clause roles,
-  // memo shapes, the materialized all-masters list) but no index build —
-  // snapshot::Codec installs the deserialized equality index / suffix tree
-  // afterwards — and no ConstructedCount() bump, so tests can assert that a
-  // snapshot-warmed engine paid zero index builds.
-  UC_CHECK(md_.normalized()) << "MdMatcher requires a normalized MD";
-  UC_CHECK_LE(md_.premise().size(), data::GroupKey::kMaxParts)
-      << "MdMatcher: MD " << md_.name() << " premise too wide";
-  for (size_t i = 0; i < md_.premise().size(); ++i) {
-    sim_cache_.emplace_back(options.memo_capacity);
-  }
-  if (options_.use_blocking) {
-    for (size_t i = 0; i < md_.premise().size(); ++i) {
-      if (md_.premise()[i].predicate.is_equality()) {
-        equality_clauses_.push_back(i);
-      } else if (blocking_clause_ < 0) {
-        blocking_clause_ = static_cast<int>(i);
-      }
-    }
-  }
   if (!options_.use_blocking ||
       (equality_clauses_.empty() && blocking_clause_ < 0)) {
     all_masters_.resize(static_cast<size_t>(dm_.size()));
@@ -197,37 +165,11 @@ int MdMatcher::AppendMaster() {
       RebuildSuffixTree();
     }
   }
-  // Match lists and blocking candidates were computed against the smaller
-  // master and may be missing the new tuples; drop them. Similarity
-  // outcomes are per (data value, master value) pair and stay valid.
+  // Match lists were computed against the smaller master and may be
+  // missing the new tuples; drop them.
   match_cache_.Clear();
-  blocking_cache_.Clear();
   indexed_masters_ = dm_.size();
   return dm_.size() - old_size;
-}
-
-bool MdMatcher::Verify(const data::Tuple& t, data::TupleId s) const {
-  const data::Tuple& m = dm_.tuple(s);
-  if (!options_.use_memos) {
-    return md_.PremiseHoldsWith(
-        t, m,
-        [](size_t, const rules::MdClause& c, const data::Value& dv,
-           const data::Value& mv) {
-          return c.predicate.Evaluate(dv.view(), mv.view());
-        });
-  }
-  return md_.PremiseHoldsWith(
-      t, m,
-      [this](size_t i, const rules::MdClause& c, const data::Value& dv,
-             const data::Value& mv) {
-        const uint64_t pair_key =
-            (static_cast<uint64_t>(dv.id()) << 32) | mv.id();
-        const ShardedMemo<uint64_t, bool>& cache = sim_cache_[i];
-        if (const bool* hit = cache.Find(pair_key)) return *hit;
-        bool holds = c.predicate.Evaluate(dv.view(), mv.view());
-        cache.Insert(pair_key, std::move(holds));
-        return holds;
-      });
 }
 
 const std::vector<data::TupleId>& MdMatcher::Candidates(
@@ -244,40 +186,21 @@ const std::vector<data::TupleId>& MdMatcher::Candidates(
         md_.premise()[static_cast<size_t>(blocking_clause_)];
     const data::Value& v = t.value(clause.data_attr);
     if (v.is_null()) return kNoCandidates;
-    if (options_.use_memos) {
-      if (const auto* hit = blocking_cache_.Find(v.id())) return *hit;
-    }
     // Per-probe scratch reuses capacity across probes instead of allocating
-    // fresh vectors per miss. `top` never escapes this call, so it can be a
-    // plain thread_local; `candidates` may be returned (memos off / cap
-    // refusal), so it is per-(thread, matcher).
+    // fresh vectors per call.
     static thread_local std::vector<similarity::BlockingCandidate> top;
-    std::vector<data::TupleId>& candidates =
-        ScratchFor(this, t_candidate_scratch);
     tree_.TopL(v.view(), options_.top_l, /*max_leaves_per_probe=*/64, &top);
-    candidates.clear();
+    t_candidates.clear();
     for (const similarity::BlockingCandidate& cand : top) {
       for (data::TupleId s :
            value_owners_[static_cast<size_t>(cand.string_id)]) {
-        candidates.push_back(s);
+        t_candidates.push_back(s);
       }
     }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    if (options_.use_memos) {
-      // InsertWith: the move happens only if admission succeeds (the memo
-      // entry is what gets returned then), so a capped memo in steady state
-      // pays no per-miss allocation and an admitted miss pays no copy; on
-      // refusal or a lost race the scratch is left intact and served below.
-      if (const auto* inserted = blocking_cache_.InsertWith(
-              v.id(), [&]() { return std::move(candidates); })) {
-        return *inserted;
-      }
-    }
-    // Memos off or admission refused past the cap: serve from scratch,
-    // valid until this thread's next probe.
-    return candidates;
+    std::sort(t_candidates.begin(), t_candidates.end());
+    t_candidates.erase(std::unique(t_candidates.begin(), t_candidates.end()),
+                       t_candidates.end());
+    return t_candidates;
   }
   // Premise with no clauses at all: every master tuple is a candidate.
   return all_masters_;
@@ -285,15 +208,13 @@ const std::vector<data::TupleId>& MdMatcher::Candidates(
 
 const std::vector<data::TupleId>& MdMatcher::Matches(
     const data::Tuple& t) const {
-  // ScratchFor is resolved only on the paths that hand scratch out — the
-  // dominant memo-hit path must not pay its map lookup.
+  // MatchScratchFor is resolved only on the paths that hand scratch out —
+  // the dominant memo-hit path must not pay its map lookup.
   if (!options_.use_memos) {
-    std::vector<data::TupleId>& scratch_matches =
-        ScratchFor(this, t_match_scratch);
-    const std::vector<data::TupleId>& candidates = Candidates(t);
+    std::vector<data::TupleId>& scratch_matches = MatchScratchFor(this);
     scratch_matches.clear();
-    for (data::TupleId s : candidates) {
-      if (Verify(t, s)) scratch_matches.push_back(s);
+    for (data::TupleId s : Candidates(t)) {
+      if (md_.PremiseHolds(t, dm_.tuple(s))) scratch_matches.push_back(s);
     }
     return scratch_matches;
   }
@@ -307,15 +228,14 @@ const std::vector<data::TupleId>& MdMatcher::Matches(
   // whichever landed first.
   std::vector<data::TupleId> matches;
   for (data::TupleId s : Candidates(t)) {
-    if (Verify(t, s)) matches.push_back(s);
+    if (md_.PremiseHolds(t, dm_.tuple(s))) matches.push_back(s);
   }
   if (const auto* resident = match_cache_.Insert(key, std::move(matches))) {
     return *resident;
   }
   // Admission refused past the cap. `matches` was not consumed (Insert only
   // moves on success); hand it out via per-(thread, matcher) scratch.
-  std::vector<data::TupleId>& scratch_matches =
-      ScratchFor(this, t_match_scratch);
+  std::vector<data::TupleId>& scratch_matches = MatchScratchFor(this);
   scratch_matches = std::move(matches);
   return scratch_matches;
 }
@@ -328,7 +248,7 @@ data::TupleId MdMatcher::FindFirstMatch(const data::Tuple& t) const {
   if (!options_.use_memos) {
     // No cache to amortize a full match list: keep the early exit.
     for (data::TupleId s : Candidates(t)) {
-      if (Verify(t, s)) return s;
+      if (md_.PremiseHolds(t, dm_.tuple(s))) return s;
     }
     return -1;
   }
@@ -337,18 +257,10 @@ data::TupleId MdMatcher::FindFirstMatch(const data::Tuple& t) const {
 }
 
 MemoStats MdMatcher::memo_stats() const {
-  MemoStats total;
-  const auto list_bytes = [](const auto& k,
-                             const std::vector<data::TupleId>& v) {
+  return match_cache_.Stats([](const data::GroupKey& k,
+                               const std::vector<data::TupleId>& v) {
     return sizeof(k) + sizeof(v) + v.capacity() * sizeof(data::TupleId);
-  };
-  total += match_cache_.Stats(list_bytes);
-  total += blocking_cache_.Stats(list_bytes);
-  for (const ShardedMemo<uint64_t, bool>& clause_cache : sim_cache_) {
-    total += clause_cache.Stats(
-        [](uint64_t, bool) { return sizeof(uint64_t) + sizeof(bool); });
-  }
-  return total;
+  });
 }
 
 }  // namespace core

@@ -3,29 +3,29 @@
 // on interned value ids); when an MD has only similarity clauses, the §5.2
 // suffix-tree blocking retrieves the top-l master values by longest common
 // substring and only those candidates are verified — reducing the per-tuple
-// cost from O(|Dm|) to O(l). Similarity clause outcomes are memoized per
-// (data id, master id) pair, so a value pair is scored at most once per
-// clause over the whole cleaning run. A brute-force mode exists for the
-// blocking ablation bench.
+// cost from O(|Dm|) to O(l). Candidates are verified by evaluating the
+// premise directly; the one memo is the match list per premise projection
+// (see Matches()). A brute-force mode exists for the blocking ablation
+// bench.
 //
-// Thread safety: after construction the indexes are immutable and the memos
-// are sharded behind striped locks (see core/sharded_memo.h), so any number
+// Thread safety: after construction the indexes are immutable and the memo
+// is sharded behind striped locks (see core/sharded_memo.h), so any number
 // of threads may call Matches / FindMatches / FindFirstMatch concurrently —
 // the engine entry point concurrent uniclean::Session runs rely on. Every
 // memoized result is a pure function of its key over the static master
 // data, so cache sharing across threads cannot change outcomes. The one
 // mutating operation is AppendMaster() (master-data growth), which
-// requires exclusive access. References
-// returned by Matches() stay valid for the matcher's lifetime when they
-// point into a memo; results that were refused admission (capacity cap, or
-// use_memos = false) live in per-(thread, matcher) scratch valid until the
-// same thread's next probe of the same matcher.
+// requires exclusive access. References returned by Matches() stay valid
+// for the matcher's lifetime when they point into the memo; results that
+// were refused admission (capacity cap, or use_memos = false) live in
+// per-(thread, matcher) scratch valid until the same thread's next probe of
+// the same matcher.
 
 #ifndef UNICLEAN_CORE_MD_MATCHER_H_
 #define UNICLEAN_CORE_MD_MATCHER_H_
 
 #include <cstdint>
-#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "core/sharded_memo.h"
@@ -47,16 +47,15 @@ struct MdMatcherOptions {
   int top_l = 20;
   /// When false, every master tuple is verified (ablation baseline).
   bool use_blocking = true;
-  /// When false, the blocking / similarity / match memos are bypassed and
-  /// every probe pays its full cost. Only the ablation benches turn this
-  /// off, so they measure per-probe match cost rather than cache hits.
+  /// When false, the match-list memo is bypassed and every probe pays its
+  /// full cost. Only the ablation benches turn this off, so they measure
+  /// per-probe match cost rather than cache hits.
   bool use_memos = true;
-  /// Caps the resident entries of each memo map (the match-list memo, the
-  /// blocking memo, and each premise clause's similarity memo are capped
-  /// independently); 0 = unbounded. Past the cap new results are still
-  /// computed but refused admission (counted as MemoStats::evictions), so
-  /// handed-out references never dangle and a long-lived serving session's
-  /// memory stops growing. See ROADMAP "memo growth in long-lived sessions".
+  /// Caps the resident entries of the match-list memo; 0 = unbounded. Past
+  /// the cap new results are still computed but refused admission (counted
+  /// as MemoStats::evictions), so handed-out references never dangle and a
+  /// long-lived serving session's memory stops growing. See ROADMAP "memo
+  /// growth in long-lived sessions".
   size_t memo_capacity = 0;
 };
 
@@ -88,9 +87,8 @@ class MdMatcher {
 
   const rules::Md& md() const { return md_; }
 
-  /// Aggregated statistics of this matcher's memos (match lists, blocking
-  /// candidates, per-clause similarity outcomes). Counters are live atomics;
-  /// the entry/byte figures briefly lock each memo shard in turn.
+  /// Statistics of this matcher's match-list memo. Counters are live
+  /// atomics; the entry/byte figures briefly lock each memo shard in turn.
   MemoStats memo_stats() const;
 
   /// Process-wide count of MdMatcher constructions (each construction pays
@@ -106,31 +104,32 @@ class MdMatcher {
   /// Folds master tuples appended since construction (or the previous call)
   /// into the indexes: the equality index and the materialized all-masters
   /// list grow incrementally; the suffix tree is rebuilt (Ukkonen's build is
-  /// one-shot). The match-list and blocking memos are dropped — their
-  /// entries were computed against the smaller master — while the
-  /// per-clause similarity memos survive: a similarity outcome is a pure
-  /// function of the two value ids, independent of the master's extent.
-  /// Returns the number of newly indexed master tuples.
+  /// one-shot). The match-list memo is dropped: its entries were computed
+  /// against the smaller master. Returns the number of newly indexed master
+  /// tuples.
   ///
   /// NOT thread-safe: requires exclusive access to the matcher (no
-  /// concurrent probes, no live references into the dropped memos). The
+  /// concurrent probes, no live references into the dropped memo). The
   /// master relation must only have grown by appends since the last index;
   /// already-indexed tuples must be unchanged.
   int AppendMaster();
 
  private:
-  // snapshot::Codec restores a matcher from a snapshot section: the restore
-  // constructor below does everything the public one does *except* the
-  // index build (the codec installs the deserialized equality index or
-  // suffix tree afterwards) and except bumping ConstructedCount() — a
-  // snapshot-warmed engine deliberately reports zero index builds.
+  // snapshot::Codec restores a matcher from a snapshot section through the
+  // restore constructor below: it derives the clause roles and the
+  // materialized all-masters list but builds no index (the codec installs
+  // the deserialized equality index or suffix tree afterwards) and does not
+  // bump ConstructedCount() — a snapshot-warmed engine deliberately reports
+  // zero index builds. The public constructor delegates to it and adds
+  // exactly those two steps.
   friend class ::uniclean::snapshot::Codec;
   struct RestoreTag {};
   MdMatcher(const rules::Md& md, const data::Relation& dm,
             const MdMatcherOptions& options, RestoreTag);
 
+  // Blocking candidates for `t`: a list owned by the index, or thread_local
+  // scratch valid until the calling thread's next Candidates() call.
   const std::vector<data::TupleId>& Candidates(const data::Tuple& t) const;
-  bool Verify(const data::Tuple& t, data::TupleId s) const;
   void IndexEqualityRange(data::TupleId begin, data::TupleId end);
   void RebuildSuffixTree();
 
@@ -151,16 +150,6 @@ class MdMatcher {
   int blocking_clause_ = -1;
   similarity::GeneralizedSuffixTree tree_;
   std::vector<std::vector<data::TupleId>> value_owners_;  // per string id
-
-  // Per-premise-clause memo of similarity outcomes keyed on
-  // (data id << 32 | master id), lazily filled during Verify. deque: the
-  // sharded memos own mutexes and never move.
-  std::deque<ShardedMemo<uint64_t, bool>> sim_cache_;
-
-  // Memo of suffix-tree blocking results per probed value id: TopL over the
-  // static master index is a pure function of the probe string, and dirty
-  // data re-probes the same (often duplicated) values constantly.
-  ShardedMemo<data::ValueId, std::vector<data::TupleId>> blocking_cache_;
 
   // Memo of full match lists keyed by the premise projection of the data
   // tuple. References handed out by Matches() point into this map (node

@@ -1,12 +1,11 @@
-// ShardedMemo: the concurrency primitive behind the MdMatcher memos. A
-// memo entry is the result of a pure function of its key (a similarity
-// outcome, a blocking candidate list, a full match list over the static
-// master data), so the only thing a shared cache must guarantee under
-// concurrent Session runs is data-race freedom — any interleaving of hits
-// and inserts yields the same values. The map is split into kShards
-// mutex-guarded shards keyed on a mixed hash of the interned-id key, so
-// concurrent probes of different keys rarely contend and the critical
-// section is a single hash lookup or insert.
+// ShardedMemo: the concurrency primitive behind the MdMatcher match-list
+// memo. A memo entry is the result of a pure function of its key (a full
+// match list over the static master data), so the only thing a shared
+// cache must guarantee under concurrent Session runs is data-race freedom
+// — any interleaving of hits and inserts yields the same values. The map
+// is split into kShards mutex-guarded shards keyed on a mixed hash of the
+// interned-id key, so concurrent probes of different keys rarely contend
+// and the critical section is a single hash lookup or insert.
 //
 // Entries are never erased: handed-out pointers stay valid for the memo's
 // lifetime (unordered_map node stability). Growth is bounded by an optional
@@ -83,17 +82,8 @@ class ShardedMemo {
   /// entry — the inserted one, or the entry a concurrent inserter of the
   /// same key won with (`value` is left untouched then) — or nullptr when
   /// admission was refused, in which case the caller serves the result from
-  /// its own scratch.
+  /// its own scratch. `value` is moved from only when it is admitted.
   const Mapped* Insert(const Key& key, Mapped&& value) const {
-    return InsertWith(key, [&value]() -> Mapped&& { return std::move(value); });
-  }
-
-  /// Like Insert, but materializes the value via `make()` only after
-  /// admission is granted — so a capped memo in steady state (every insert
-  /// refused) costs no value construction per miss. `make()` runs under the
-  /// shard lock; keep it to a move or a copy.
-  template <typename MakeFn>
-  const Mapped* InsertWith(const Key& key, MakeFn&& make) const {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
@@ -110,7 +100,7 @@ class ShardedMemo {
     } else {
       entries_.fetch_add(1, std::memory_order_relaxed);
     }
-    return &shard.map.emplace(key, make()).first->second;
+    return &shard.map.emplace(key, std::move(value)).first->second;
   }
 
   size_t entries() const {
@@ -119,7 +109,7 @@ class ShardedMemo {
   size_t capacity() const { return capacity_; }
 
   /// Drops every resident entry and resets the entry count, invalidating
-  /// all pointers ever handed out by Find/Insert/InsertWith. The caller
+  /// all pointers ever handed out by Find/Insert. The caller
   /// must guarantee exclusive access: no concurrent probes and no live
   /// references (e.g. a master-data refresh performed while no Session is
   /// running). Hit/miss/eviction counters are preserved.

@@ -29,29 +29,18 @@ std::vector<Md> Md::Normalize() const {
   return out;
 }
 
-bool Md::PremiseHolds(const data::Tuple& t, const data::Tuple& s,
-                      ClauseMemo* memo) const {
-  if (memo == nullptr) {
-    return PremiseHoldsWith(
-        t, s,
-        [](size_t, const MdClause& c, const data::Value& dv,
-           const data::Value& mv) {
-          return c.predicate.Evaluate(dv.view(), mv.view());
-        });
+bool Md::PremiseHolds(const data::Tuple& t, const data::Tuple& s) const {
+  for (const MdClause& c : premise_) {
+    const data::Value& dv = t.value(c.data_attr);
+    const data::Value& mv = s.value(c.master_attr);
+    if (dv.is_null() || mv.is_null()) return false;
+    // Identical interned ids satisfy any similarity predicate (distance 0
+    // / similarity 1); only distinct strings need the metric.
+    if (dv == mv) continue;
+    if (c.predicate.is_equality()) return false;
+    if (!c.predicate.Evaluate(dv.view(), mv.view())) return false;
   }
-  return PremiseHoldsWith(
-      t, s,
-      [memo](size_t i, const MdClause& c, const data::Value& dv,
-             const data::Value& mv) {
-        const uint64_t pair_key =
-            (static_cast<uint64_t>(dv.id()) << 32) | mv.id();
-        std::unordered_map<uint64_t, bool>& cache = (*memo)[i];
-        auto it = cache.find(pair_key);
-        if (it != cache.end()) return it->second;
-        const bool holds = c.predicate.Evaluate(dv.view(), mv.view());
-        cache.emplace(pair_key, holds);
-        return holds;
-      });
+  return true;
 }
 
 Md Md::WithExtraEqualities(const std::vector<MdClause>& extra,

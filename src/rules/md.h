@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/relation.h"
@@ -23,12 +22,6 @@ struct MdClause {
   data::AttributeId master_attr;
   similarity::SimilarityPredicate predicate;
 };
-
-/// Per-premise-clause memo of fuzzy predicate outcomes, keyed by
-/// (data value id << 32 | master value id). Equality clauses and identical
-/// ids never consult it. Owned by callers that probe the same value pairs
-/// repeatedly (MdMatcher); size() must equal the premise size.
-using ClauseMemo = std::vector<std::unordered_map<uint64_t, bool>>;
 
 /// One identification action R[E] ⇋ Rm[F]: the cleaning rule writes the
 /// master value s[F] into t[E] (§3.1).
@@ -60,36 +53,9 @@ class Md {
 
   /// Whether the premise holds between data tuple t and master tuple s.
   /// A null on either side fails the clause (§7 semantics: rules only apply
-  /// to tuples that precisely match). When `memo` is non-null (one map per
-  /// premise clause), fuzzy-predicate outcomes are looked up / recorded
-  /// there. Implemented on PremiseHoldsWith, the single premise-evaluation
-  /// code path shared by the reference checkers and the memoizing MdMatcher.
-  bool PremiseHolds(const data::Tuple& t, const data::Tuple& s,
-                    ClauseMemo* memo = nullptr) const;
-
-  /// Generic premise evaluation with the same null / identical-id /
-  /// equality-clause semantics as PremiseHolds, delegating only the fuzzy
-  /// predicate outcome: `eval(clause_index, clause, data_value,
-  /// master_value) -> bool` is invoked solely for distinct, non-null value
-  /// pairs on a non-equality clause. Memoizing callers (MdMatcher's sharded
-  /// concurrent memo, the ClauseMemo overload above) plug their cache in
-  /// here so the premise semantics exist exactly once.
-  template <typename EvalFn>
-  bool PremiseHoldsWith(const data::Tuple& t, const data::Tuple& s,
-                        EvalFn&& eval) const {
-    for (size_t i = 0; i < premise_.size(); ++i) {
-      const MdClause& c = premise_[i];
-      const data::Value& dv = t.value(c.data_attr);
-      const data::Value& mv = s.value(c.master_attr);
-      if (dv.is_null() || mv.is_null()) return false;
-      // Identical interned ids satisfy any similarity predicate (distance 0
-      // / similarity 1); only distinct strings need the metric.
-      if (dv == mv) continue;
-      if (c.predicate.is_equality()) return false;
-      if (!eval(i, c, dv, mv)) return false;
-    }
-    return true;
-  }
+  /// to tuples that precisely match). The one premise-evaluation code path,
+  /// shared by the reference checkers and MdMatcher.
+  bool PremiseHolds(const data::Tuple& t, const data::Tuple& s) const;
 
   /// Returns a copy with extra equality clauses prepended (used by the
   /// negative-MD embedding of Prop. 2.6).

@@ -74,8 +74,8 @@ Status ReadWords(ByteReader* r, size_t count, std::vector<T>* out) {
 
 /// Reads a u32-counted ascending tuple-id list bounded by `master_size`.
 /// Ascending-strict matches what every cold build produces (equality index
-/// buckets, match lists, blocking candidates are all sorted unique), so
-/// enforcing it here both validates and pins cold/warm parity.
+/// buckets and match lists are sorted unique), so enforcing it here both
+/// validates and pins cold/warm parity.
 Status ReadTupleIdList(ByteReader* r, uint32_t master_size,
                        std::vector<data::TupleId>* out) {
   UC_ASSIGN_OR_RETURN(uint32_t n, r->U32());
@@ -204,38 +204,11 @@ void Codec::AppendMatcher(const core::MdMatcher& matcher, std::string* out) {
 
 void Codec::AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,
                         std::string* out) {
-  PutU32(out, static_cast<uint32_t>(matcher.sim_cache_.size()));
-  // Each family is buffered so the count prefix reflects post-filter
-  // entries (ids interned after the header's pool generation was captured
-  // cannot be resolved by a loader and are skipped).
+  // Entries are buffered so the count prefix reflects post-filter entries
+  // (ids interned after the header's pool generation was captured cannot be
+  // resolved by a loader and are skipped).
   std::string entries;
-  for (const auto& clause_cache : matcher.sim_cache_) {
-    entries.clear();
-    uint64_t count = 0;
-    clause_cache.ForEach([&](uint64_t key, bool holds) {
-      if ((key >> 32) >= pool_limit || (key & 0xFFFFFFFFull) >= pool_limit) {
-        return;
-      }
-      PutU64(&entries, key);
-      PutU8(&entries, holds ? 1 : 0);
-      ++count;
-    });
-    PutU64(out, count);
-    out->append(entries);
-  }
-  entries.clear();
   uint64_t count = 0;
-  matcher.blocking_cache_.ForEach(
-      [&](data::ValueId value, const std::vector<data::TupleId>& ids) {
-        if (value >= pool_limit) return;
-        PutU32(&entries, value);
-        PutTupleIdList(&entries, ids);
-        ++count;
-      });
-  PutU64(out, count);
-  out->append(entries);
-  entries.clear();
-  count = 0;
   matcher.match_cache_.ForEach(
       [&](const data::GroupKey& key, const std::vector<data::TupleId>& ids) {
         for (uint32_t i = 0; i < key.size; ++i) {
@@ -472,33 +445,6 @@ Status Codec::RestoreMemos(core::MdMatcher* matcher,
   const uint64_t pool_size = data::StringPool::Global().size();
   const uint32_t master_size = static_cast<uint32_t>(m.dm_.size());
   ByteReader r(payload, StatusCode::kDataLoss);
-  UC_ASSIGN_OR_RETURN(uint32_t n_clauses, r.U32());
-  if (n_clauses != m.sim_cache_.size()) {
-    return Inconsistent("similarity memo clause count mismatch");
-  }
-  for (uint32_t c = 0; c < n_clauses; ++c) {
-    UC_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-    for (uint64_t i = 0; i < count; ++i) {
-      UC_ASSIGN_OR_RETURN(uint64_t key, r.U64());
-      UC_ASSIGN_OR_RETURN(uint8_t value, r.U8());
-      if ((key >> 32) >= pool_size || (key & 0xFFFFFFFFull) >= pool_size ||
-          value > 1) {
-        return Inconsistent("similarity memo entry out of range");
-      }
-      bool holds = value != 0;
-      m.sim_cache_[c].Insert(key, std::move(holds));
-    }
-  }
-  UC_ASSIGN_OR_RETURN(uint64_t blocking_count, r.U64());
-  for (uint64_t i = 0; i < blocking_count; ++i) {
-    UC_ASSIGN_OR_RETURN(uint32_t value, r.U32());
-    if (value >= pool_size) {
-      return Inconsistent("blocking memo value id out of range");
-    }
-    std::vector<data::TupleId> ids;
-    UC_RETURN_IF_ERROR(ReadTupleIdList(&r, master_size, &ids));
-    m.blocking_cache_.Insert(value, std::move(ids));
-  }
   UC_ASSIGN_OR_RETURN(uint64_t match_count, r.U64());
   for (uint64_t i = 0; i < match_count; ++i) {
     UC_ASSIGN_OR_RETURN(data::GroupKey key,

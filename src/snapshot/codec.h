@@ -1,8 +1,8 @@
 // snapshot::Codec: the (de)serialization of engine internals — the one
 // class the data/similarity/core layers befriend so their private built
 // state (equality indexes, the Ukkonen suffix tree with its precomputed
-// leaf slices, memo contents) can round-trip through a snapshot file
-// without widening their public APIs.
+// leaf slices, match-list memo contents) can round-trip through a snapshot
+// file without widening their public APIs.
 //
 // Split of labor with snapshot.h: the codec knows *payload layouts* and the
 // engine's internals; snapshot.h owns the container (header, section table,
@@ -60,10 +60,9 @@ class Codec {
   /// emitted in sorted order so identical engines write identical bytes.
   static void AppendMatcher(const core::MdMatcher& matcher, std::string* out);
 
-  /// One matcher's memo contents (match lists, blocking candidates,
-  /// per-clause similarity outcomes). Entries referencing value ids >=
-  /// `pool_limit` (interned after the header's generation was captured) are
-  /// skipped — they could not be resolved by a loader. Entry order is
+  /// One matcher's match-list memo contents. Entries referencing value ids
+  /// >= `pool_limit` (interned after the header's generation was captured)
+  /// are skipped — they could not be resolved by a loader. Entry order is
   /// unspecified (sharded maps), so memo sections are the one part of a
   /// snapshot whose bytes are not deterministic.
   static void AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,

@@ -43,7 +43,9 @@ namespace uniclean {
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'U', 'C', 'S', 'N', 'A', 'P', 'S', 'H'};
-inline constexpr uint32_t kFormatVersion = 1;
+/// Version 2: a memo section carries the match-list memo only (version 1
+/// also carried per-clause similarity and blocking-candidate memos).
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr size_t kHeaderBytes = 64;
 inline constexpr size_t kSectionHeaderBytes = 20;
 

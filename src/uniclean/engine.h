@@ -100,7 +100,7 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// Folds master tuples the caller appended (only possible with a
   /// caller-owned master: WithMaster(const data::Relation*)) into the warm
   /// match environment — equality indexes and suffix trees catch up, stale
-  /// match/blocking memos are dropped, similarity memos survive (see
+  /// match-list memos are dropped (see
   /// core::MatchEnvironment::RefreshMasterAppend). Returns the number of
   /// newly indexed master tuples. NOT safe while any Session is running:
   /// callers must quiesce sessions first (the refresh invalidates memo

@@ -41,14 +41,6 @@ int FixJournal::CountForPhase(std::string_view phase) const {
   return count;
 }
 
-int FixJournal::CountForGeneration(int generation) const {
-  int count = 0;
-  for (const FixEntry& e : entries_) {
-    if (e.generation == generation) ++count;
-  }
-  return count;
-}
-
 FixJournal FixJournal::Canonicalized() const {
   // Chain the entries per cell in append order, keeping one net entry from
   // the first old value to the last new value, attributed to the final

@@ -54,9 +54,6 @@ class FixJournal {
   /// Number of entries recorded by the named phase.
   int CountForPhase(std::string_view phase) const;
 
-  /// Number of entries carrying the given delta generation.
-  int CountForGeneration(int generation) const;
-
   /// The canonical fix set: the NET repair per cell, sorted by (tuple,
   /// attr) with the generation normalized to 0. A cell rewritten several
   /// times collapses to one entry from its first old value to its last new

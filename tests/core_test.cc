@@ -11,6 +11,7 @@
 #include "core/md_matcher.h"
 #include "data/relation.h"
 #include "data/schema.h"
+#include "gen/dataset.h"
 #include "paper_example.h"
 #include "rules/parser.h"
 #include "rules/violation.h"
@@ -132,6 +133,48 @@ TEST(MdMatcherTest, NullPremiseNeverMatches) {
   Relation d = uniclean::testing::TranDirty();
   // t4 has null St (a premise attribute).
   EXPECT_EQ(matcher.FindFirstMatch(d.tuple(3)), -1);
+}
+
+TEST(MdMatcherTest, MemosOffAndCappedMatchMemosOn) {
+  // The match-list memo caches a pure function of the premise projection:
+  // bypassing it (use_memos = false) or refusing admission past the cap
+  // (memo_capacity = 1) must hand out the very lists the memo would.
+  MdMatcherOptions memo_off;
+  memo_off.use_memos = false;
+  MdMatcherOptions capped;
+  capped.memo_capacity = 1;
+  gen::GeneratorConfig config;
+  config.num_tuples = 250;
+  config.master_size = 120;
+  config.seed = 5;
+  for (const auto generate :
+       {gen::GenerateHosp, gen::GenerateDblp, gen::GenerateTpch}) {
+    const gen::Dataset ds = generate(config);
+    // Every master tuple appears twice, so a matched tuple's list holds at
+    // least two ids and one suffix-tree string owns several tuples.
+    Relation master = ds.master.Clone();
+    for (data::TupleId s = 0; s < ds.master.size(); ++s) {
+      master.AddTuple(ds.master.tuple(s));
+    }
+    for (const rules::Md& md : ds.rules.mds()) {
+      SCOPED_TRACE(ds.name + " " + md.name());
+      MdMatcher memo_on_matcher(md, master);
+      MdMatcher memo_off_matcher(md, master, memo_off);
+      MdMatcher capped_matcher(md, master, capped);
+      int matched = 0;
+      for (data::TupleId t = 0; t < ds.dirty.size(); ++t) {
+        const data::Tuple& tuple = ds.dirty.tuple(t);
+        const std::vector<data::TupleId> expected =
+            memo_on_matcher.Matches(tuple);
+        EXPECT_EQ(memo_off_matcher.Matches(tuple), expected) << "tuple " << t;
+        EXPECT_EQ(capped_matcher.Matches(tuple), expected) << "tuple " << t;
+        if (!expected.empty()) ++matched;
+      }
+      EXPECT_LE(capped_matcher.memo_stats().entries, 1u);
+      EXPECT_EQ(memo_off_matcher.memo_stats().entries, 0u);
+      EXPECT_GT(matched, 0) << "no tuple matched: the comparison is vacuous";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

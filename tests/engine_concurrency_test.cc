@@ -278,12 +278,11 @@ TEST(MemoCapTest, CapBoundsEntriesCountsEvictionsAndKeepsResults) {
 
   const core::MemoStats stats = capped->MemoStats();
   EXPECT_GT(stats.evictions, 0u) << "cap never engaged";
-  // Each memo map (match, blocking, per-clause similarity) is capped
-  // independently; bound the total by kCap times the number of memo maps.
+  // Each MD's one memo map (its match lists) is capped independently;
+  // bound the total by kCap times the number of MDs.
   size_t memo_maps = 0;
   for (rules::RuleId rule = 0; rule < ds.rules.num_rules(); ++rule) {
-    if (ds.rules.IsCfd(rule)) continue;
-    memo_maps += 2 + ds.rules.md(rule).premise().size();
+    if (!ds.rules.IsCfd(rule)) ++memo_maps;
   }
   EXPECT_LE(stats.entries, kCap * memo_maps);
   EXPECT_LT(stats.entries, uncapped.entries);
@@ -302,8 +301,7 @@ TEST(MemoCapTest, CapHoldsUnderConcurrentAdmission) {
 
   size_t memo_maps = 0;
   for (rules::RuleId rule = 0; rule < ds.rules.num_rules(); ++rule) {
-    if (ds.rules.IsCfd(rule)) continue;
-    memo_maps += 2 + ds.rules.md(rule).premise().size();
+    if (!ds.rules.IsCfd(rule)) ++memo_maps;
   }
   const core::MemoStats stats = engine->MemoStats();
   EXPECT_LE(stats.entries, kCap * memo_maps)

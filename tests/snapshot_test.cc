@@ -233,8 +233,8 @@ TEST_F(SnapshotHosp, MemoContentsRoundTrip) {
     gen::Dataset ds = Generate("HOSP", 11);
     auto engine = Configure(ds).BuildEngine();
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    // A run populates the match/blocking/similarity memos; the snapshot
-    // should carry exactly those entries across.
+    // A run populates the match-list memos; the snapshot should carry
+    // exactly those entries across.
     RunJournal(*engine, ds);
     entries_before = (*engine)->environment().MemoStats().entries;
     ASSERT_GT(entries_before, 0u);
@@ -464,13 +464,19 @@ TEST_F(SnapshotHardening, WrongMagicIsDataLoss) {
 }
 
 TEST_F(SnapshotHardening, FutureVersionIsFailedPrecondition) {
-  // A well-formed file from a future writer: version bumped *and* the
-  // header re-sealed, so this exercises the version gate, not the CRC.
-  std::string bytes = good_;
-  PatchU32(&bytes, 8, snapshot::kFormatVersion + 1);
-  ResealHeader(&bytes);
-  const Status s = TryLoadBytes(bytes);
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  // A well-formed file from a future writer — or from the previous format,
+  // whose memo sections carried more than match lists: version changed
+  // *and* the header re-sealed, so this exercises the version gate, not
+  // the CRC.
+  for (const uint32_t version :
+       {snapshot::kFormatVersion + 1, snapshot::kFormatVersion - 1}) {
+    SCOPED_TRACE(version);
+    std::string bytes = good_;
+    PatchU32(&bytes, 8, version);
+    ResealHeader(&bytes);
+    const Status s = TryLoadBytes(bytes);
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  }
 }
 
 TEST_F(SnapshotHardening, ForgedSectionLengthIsDataLoss) {
