@@ -71,10 +71,10 @@ class ShardedMemo {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it == shard.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.misses;
       return nullptr;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.hits;
     return &it->second;
   }
 
@@ -139,11 +139,11 @@ class ShardedMemo {
   template <typename EntryBytesFn>
   MemoStats Stats(EntryBytesFn&& entry_bytes) const {
     MemoStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
     stats.evictions = evictions_.load(std::memory_order_relaxed);
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
+      stats.hits += shard.hits;
+      stats.misses += shard.misses;
       stats.entries += shard.map.size();
       for (const auto& [key, mapped] : shard.map) {
         stats.bytes += entry_bytes(key, mapped) + kNodeOverheadBytes;
@@ -158,9 +158,14 @@ class ShardedMemo {
   /// next pointer + cached hash + bucket slot share).
   static constexpr uint64_t kNodeOverheadBytes = 24;
 
-  struct Shard {
+  // One cache line (at least) per shard, so probes of different shards do
+  // not false-share the lock or the counters. hits/misses are plain
+  // counters: Find bumps them under `mu`, which it holds for the lookup.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_map<Key, Mapped, Hash> map;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
   };
 
   Shard& ShardFor(const Key& key) const {
@@ -173,8 +178,6 @@ class ShardedMemo {
   const size_t capacity_;
   mutable Shard shards_[kShards];
   mutable std::atomic<uint64_t> entries_{0};
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
   mutable std::atomic<uint64_t> evictions_{0};
 };
 

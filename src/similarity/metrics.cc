@@ -1,6 +1,7 @@
 #include "similarity/metrics.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -94,63 +95,84 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   const int m = static_cast<int>(b.size());
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
-  // Cheap upper-bound reject: Jaro is 0 exactly when no character of `a`
-  // occurs in `b`, so a byte-presence bitmap over the shorter string rejects
-  // wildly different values (the common case under blocking) in O(n + m)
-  // before the O(n · window) match loop ever runs.
-  {
-    const std::string_view shorter = n <= m ? a : b;
-    const std::string_view longer = n <= m ? b : a;
-    bool seen[256] = {};
-    for (char c : shorter) seen[static_cast<unsigned char>(c)] = true;
-    bool any_common = false;
-    for (char c : longer) {
-      if (seen[static_cast<unsigned char>(c)]) {
-        any_common = true;
-        break;
-      }
-    }
-    if (!any_common) return 0.0;
-  }
   const int window = std::max(0, std::max(n, m) / 2 - 1);
-  // Thread-local scratch instead of two heap-allocated vector<bool> per
-  // call: JaroSimilarity is the hottest leaf of the pipeline profile, and
-  // the allocations dominated its cost. Byte flags beat bit-packing here.
-  static thread_local std::vector<unsigned char> a_matched;
-  static thread_local std::vector<unsigned char> b_matched;
-  a_matched.assign(static_cast<size_t>(n), 0);
-  b_matched.assign(static_cast<size_t>(m), 0);
+  // Bit-parallel form of the textbook greedy match: for each i of `a`, the
+  // match is the first still-unmatched j of `b` inside i's window with
+  // b[j] == a[i]. Per-byte position masks over `b` turn that scan into the
+  // lowest set bit of row(a[i]) & unmatched & window, ceil(|b|/64) words
+  // per step, so the match set, the transposition count and the returned
+  // double are exactly the textbook ones.
+  const size_t b_words = (static_cast<size_t>(m) + 63) / 64;
+  const size_t a_words = (static_cast<size_t>(n) + 63) / 64;
+  const size_t need = 256 * b_words + b_words + a_words;
+  // Scratch: thread-local up to values of 1 KiB (at most ~33 KiB per
+  // thread); longer values get call-local storage, so one huge wire value
+  // never leaves a large table pinned on a worker thread.
+  constexpr size_t kMaxThreadLocalWords = 256 * 16 + 16 + 16;
+  static thread_local std::vector<uint64_t> thread_scratch;
+  std::vector<uint64_t> call_scratch;
+  std::vector<uint64_t>& scratch =
+      need <= kMaxThreadLocalWords ? thread_scratch : call_scratch;
+  if (scratch.size() < need) scratch.resize(need);
+  uint64_t* const rows = scratch.data();  // row c: positions of byte c in b
+  uint64_t* const b_unmatched = rows + 256 * b_words;
+  uint64_t* const a_matched = b_unmatched + b_words;
+  auto row = [&](char c) {
+    return rows + static_cast<unsigned char>(c) * b_words;
+  };
+  // Clear only the rows this call reads: those of the bytes of a and b.
+  for (char c : a) std::fill_n(row(c), b_words, 0);
+  for (char c : b) std::fill_n(row(c), b_words, 0);
+  for (int j = 0; j < m; ++j) {
+    row(b[static_cast<size_t>(j)])[j >> 6] |= uint64_t{1} << (j & 63);
+  }
+  // Bits past m stay set here but are never set in a row, so never match.
+  std::fill_n(b_unmatched, b_words, ~uint64_t{0});
+  std::fill_n(a_matched, a_words, 0);
   int matches = 0;
   for (int i = 0; i < n; ++i) {
-    int lo = std::max(0, i - window);
-    int hi = std::min(m - 1, i + window);
-    for (int j = lo; j <= hi; ++j) {
-      if (b_matched[static_cast<size_t>(j)]) continue;
-      if (a[static_cast<size_t>(i)] != b[static_cast<size_t>(j)]) continue;
-      a_matched[static_cast<size_t>(i)] = true;
-      b_matched[static_cast<size_t>(j)] = true;
+    const int lo = std::max(0, i - window);
+    const int hi = std::min(m - 1, i + window);
+    if (lo > hi) break;  // lo only grows with i
+    const uint64_t* const positions = row(a[static_cast<size_t>(i)]);
+    const int w_lo = lo >> 6;
+    const int w_hi = hi >> 6;
+    for (int w = w_lo; w <= w_hi; ++w) {
+      uint64_t candidates = positions[w] & b_unmatched[w];
+      if (w == w_lo) candidates &= ~uint64_t{0} << (lo & 63);
+      if (w == w_hi) candidates &= ~uint64_t{0} >> (63 - (hi & 63));
+      if (candidates == 0) continue;
+      b_unmatched[w] ^= candidates & (~candidates + 1);  // lowest set bit
+      a_matched[i >> 6] |= uint64_t{1} << (i & 63);
       ++matches;
       break;
     }
   }
   if (matches == 0) return 0.0;
-  // Count transpositions among matched characters.
+  // Transpositions: pair the k-th matched position of a with the k-th
+  // matched position of b, both in increasing order.
   int transpositions = 0;
-  int j = 0;
-  for (int i = 0; i < n; ++i) {
-    if (!a_matched[static_cast<size_t>(i)]) continue;
-    while (!b_matched[static_cast<size_t>(j)]) ++j;
-    if (a[static_cast<size_t>(i)] != b[static_cast<size_t>(j)]) {
-      ++transpositions;
+  size_t b_word = 0;
+  uint64_t b_bits = ~b_unmatched[0];
+  for (size_t w = 0; w < a_words; ++w) {
+    for (uint64_t a_bits = a_matched[w]; a_bits != 0; a_bits &= a_bits - 1) {
+      const size_t i = w * 64 + static_cast<size_t>(__builtin_ctzll(a_bits));
+      while (b_bits == 0) b_bits = ~b_unmatched[++b_word];
+      const size_t j =
+          b_word * 64 + static_cast<size_t>(__builtin_ctzll(b_bits));
+      b_bits &= b_bits - 1;
+      if (a[i] != b[j]) ++transpositions;
     }
-    ++j;
   }
   double md = matches;
   return (md / n + md / m + (md - transpositions / 2.0) / md) / 3.0;
 }
 
-double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
-  double jaro = JaroSimilarity(a, b);
+namespace {
+
+/// The Winkler boost of a Jaro score: the common prefix, up to 4 bytes,
+/// closes 0.1 of the remaining gap to 1 per byte.
+double WinklerBoost(double jaro, std::string_view a, std::string_view b) {
   int prefix = 0;
   size_t limit = std::min({a.size(), b.size(), static_cast<size_t>(4)});
   while (static_cast<size_t>(prefix) < limit &&
@@ -158,6 +180,35 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
     ++prefix;
   }
   return jaro + prefix * 0.1 * (1.0 - jaro);
+}
+
+}  // namespace
+
+double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
+  return WinklerBoost(JaroSimilarity(a, b), a, b);
+}
+
+double JaroWinklerUpperBound(std::string_view a, std::string_view b) {
+  if (a.empty() || b.empty()) return a.size() == b.size() ? 1.0 : 0.0;
+  // Jaro's match count is at most the number of common characters,
+  // sum over bytes of min(count in a, count in b), and the transposition
+  // term is at most 1. The boost rises with the Jaro score.
+  uint32_t counts[256] = {};
+  for (char c : a) ++counts[static_cast<unsigned char>(c)];
+  size_t common = 0;
+  for (char c : b) {
+    uint32_t& count = counts[static_cast<unsigned char>(c)];
+    if (count > 0) {
+      --count;
+      ++common;
+    }
+  }
+  if (common == 0) return 0.0;  // no shared character, so no prefix either
+  const double k = static_cast<double>(common);
+  return WinklerBoost((k / static_cast<double>(a.size()) +
+                       k / static_cast<double>(b.size()) + 1.0) /
+                          3.0,
+                      a, b);
 }
 
 std::vector<std::string> QGramProfile(std::string_view s, int q) {

@@ -30,6 +30,12 @@ double JaroSimilarity(std::string_view a, std::string_view b);
 /// a max common-prefix bonus of 4 characters.
 double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 
+/// An upper bound on JaroWinklerSimilarity(a, b) in O(|a| + |b|), from the
+/// number of characters the two strings share and their exact common
+/// prefix: the Jaro part with every shared character matched and none
+/// transposed. Exact (equal) when either string is empty.
+double JaroWinklerUpperBound(std::string_view a, std::string_view b);
+
 /// The sorted multiset of padded q-grams of `s` ('#' padding on both sides).
 /// Reference implementation: allocates one std::string per gram. The hot
 /// path (QGramJaccard) uses QGramIdProfile instead; this form is kept for

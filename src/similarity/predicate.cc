@@ -54,18 +54,14 @@ bool SimilarityPredicate::Evaluate(std::string_view a,
       return BoundedEditDistance(a, b, k) <= k;
     }
     case PredicateKind::kJaroWinkler: {
-      // Length pre-filter: with m <= min(|a|,|b|) matches, Jaro is at most
-      // (m/|a| + m/|b| + 1) / 3, and the Winkler prefix bonus can lift a
-      // score j to at most j + 0.4 * (1 - j). Reject when even that upper
-      // bound misses the threshold.
-      if (!a.empty() && !b.empty()) {
-        double lo = static_cast<double>(std::min(a.size(), b.size()));
-        double ub_jaro = (lo / static_cast<double>(a.size()) +
-                          lo / static_cast<double>(b.size()) + 1.0) /
-                         3.0;
-        double ub = ub_jaro + 0.4 * (1.0 - ub_jaro);
-        if (ub < threshold_) return false;
-      }
+      // Reject before computing when even the upper bound misses the
+      // threshold (the common-character bound). The 1e-9 margin
+      // keeps the reject exact under rounding: the bound and the similarity
+      // are separate float computations, and a pair whose similarity equals
+      // the bound in exact arithmetic (every shared character matched, no
+      // transposition) must not be rejected because the bound rounded a few
+      // ulps below the similarity.
+      if (JaroWinklerUpperBound(a, b) + 1e-9 < threshold_) return false;
       return JaroWinklerSimilarity(a, b) >= threshold_;
     }
     case PredicateKind::kQGramJaccard:

@@ -283,9 +283,9 @@ void GeneralizedSuffixTree::TopL(std::string_view q, int l,
   // credit both cases we record every node boundary visited with its depth,
   // not just the final locus.
   //
-  // All probe-internal scratch is thread-local: TopL runs once per distinct
-  // probed value (blocking-memo misses and the memo-off ablation), and the
-  // per-call vector/map churn was a measured top allocation item.
+  // All probe-internal scratch is thread-local: TopL runs on every
+  // match-list memo miss (and on every probe with memos off), so per-call
+  // allocation would dominate its cost.
   struct Probe {
     int node;   // a node on the match path
     int depth;  // matched length at (or within the edge entering) the node
@@ -317,27 +317,48 @@ void GeneralizedSuffixTree::TopL(std::string_view q, int l,
     }
   }
 
-  // Deepest probes first, so each string's recorded score is its best.
+  // Deepest probes first, so each string's first recorded score is its
+  // best.
   std::sort(probes.begin(), probes.end(),
             [](const Probe& a, const Probe& b) { return a.depth > b.depth; });
 
-  static thread_local std::unordered_map<int, int> best_score;  // sid -> score
+  // Dense per-string scores (0 = unseen; probe depths are >= 1) plus the
+  // list of touched ids, so a query resets only what it wrote.
+  static thread_local std::vector<int> best_score;
+  static thread_local std::vector<int> touched;
   static thread_local std::vector<int> starts;
-  best_score.clear();
+  if (best_score.size() < static_cast<size_t>(num_strings())) {
+    best_score.resize(static_cast<size_t>(num_strings()), 0);
+  }
+  touched.clear();
+  int previous_depth = 0;
   for (const Probe& p : probes) {
+    // Every touched string already scores >= previous_depth. Once l of them
+    // are touched, a strictly shallower probe cannot lift a new string into
+    // the top l; probes of the boundary depth still run, because ties are
+    // broken by id.
+    if (static_cast<int>(touched.size()) >= l && p.depth < previous_depth) {
+      break;
+    }
+    previous_depth = p.depth;
     starts.clear();
     CollectLeaves(p.node, max_leaves_per_probe, &starts);
     for (int s : starts) {
-      int sid = StringIdAt(s);
+      const int sid = StringIdAt(s);
       if (sid < 0) continue;
-      auto [it, inserted] = best_score.emplace(sid, p.depth);
-      if (!inserted && it->second < p.depth) it->second = p.depth;
+      int& score = best_score[static_cast<size_t>(sid)];
+      if (score == 0) {
+        score = p.depth;
+        touched.push_back(sid);
+      }
     }
   }
 
-  result.reserve(best_score.size());
-  for (const auto& [sid, score] : best_score) {
+  result.reserve(touched.size());
+  for (int sid : touched) {
+    int& score = best_score[static_cast<size_t>(sid)];
     result.push_back(BlockingCandidate{sid, score});
+    score = 0;
   }
   std::sort(result.begin(), result.end(),
             [](const BlockingCandidate& a, const BlockingCandidate& b) {

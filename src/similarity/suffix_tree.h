@@ -53,7 +53,9 @@ class GeneralizedSuffixTree {
   /// Returns up to `l` indexed strings sharing the longest common substrings
   /// with `q`, best first (ties broken by string id). `max_leaves_per_probe`
   /// bounds the leaf collection under each match locus; with a generous
-  /// bound the top-1 score equals the exact LCS length.
+  /// bound the top-1 score equals the exact LCS length. Probes run deepest
+  /// first and stop once l strings are found and the depth drops, since no
+  /// shallower probe can change the top l.
   /// Requires built().
   std::vector<BlockingCandidate> TopL(std::string_view q, int l,
                                       int max_leaves_per_probe = 64) const;
@@ -81,6 +83,8 @@ class GeneralizedSuffixTree {
   // byte-identical candidate order (the DFS that fixes leaf order depends
   // on unordered_map iteration order and must not be re-run on load).
   friend class ::uniclean::snapshot::Codec;
+  // Test access: rebuilds the unbounded reference TopL from the internals.
+  friend class SuffixTreeTestPeer;
 
   struct Node {
     int start = -1;  // edge label [start, end) into text_, entering this node

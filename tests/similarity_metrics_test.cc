@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -120,25 +122,65 @@ double ReferenceJaro(const std::string& a, const std::string& b) {
 }
 
 TEST(JaroTest, DisjointAlphabetsScoreZero) {
-  // The common-character pre-reject path must agree with the full scan.
+  // No common character: no position mask ever hits, so the score is 0.
   EXPECT_DOUBLE_EQ(JaroSimilarity("abc", "xyz"), 0.0);
   EXPECT_DOUBLE_EQ(JaroSimilarity("aaaa", "bbbbbbbb"), 0.0);
-  // Strings that share characters bypass the pre-reject and must agree with
-  // the reference — including when the only unique shared character ('a')
-  // sits outside the match window.
+  // Shared characters must agree with the reference, including when the
+  // only unique shared character ('a') sits outside the match window.
   EXPECT_DOUBLE_EQ(JaroSimilarity("a_______", "_______a"),
                    ReferenceJaro("a_______", "_______a"));
   EXPECT_DOUBLE_EQ(JaroSimilarity("abcdefgh", "hgfedcba"),
                    ReferenceJaro("abcdefgh", "hgfedcba"));
 }
 
+/// A random string of `length` letters drawn from the first `alphabet`
+/// lowercase letters.
+std::string RandomText(Rng& rng, size_t length, size_t alphabet) {
+  std::string s;
+  for (size_t i = 0; i < length; ++i) {
+    s.push_back(static_cast<char>('a' + rng.Index(alphabet)));
+  }
+  return s;
+}
+
+/// `s` after a few random substitutions, deletions, insertions and
+/// adjacent swaps: the near-duplicates MD matching mostly compares.
+std::string NearDuplicate(Rng& rng, std::string s, size_t alphabet) {
+  const size_t edits = rng.Index(4);
+  for (size_t e = 0; e < edits; ++e) {
+    const char c = static_cast<char>('a' + rng.Index(alphabet));
+    const size_t kind = rng.Index(4);
+    if (kind == 2 || s.empty()) {
+      s.insert(s.begin() + static_cast<std::ptrdiff_t>(rng.Index(s.size() + 1)),
+               c);
+      continue;
+    }
+    const size_t at = rng.Index(s.size());
+    if (kind == 0) {
+      s[at] = c;
+    } else if (kind == 1) {
+      s.erase(at, 1);
+    } else if (at + 1 < s.size()) {
+      std::swap(s[at], s[at + 1]);
+    }
+  }
+  return s;
+}
+
 TEST(JaroTest, MatchesReferenceOnRandomStrings) {
+  // Lengths up to 200 make the position masks span up to four words;
+  // small alphabets force many candidate positions per window. Compared
+  // exactly: the bit-parallel match must give the same double.
   Rng rng(77);
-  for (int i = 0; i < 2000; ++i) {
-    std::string a = rng.RandomWord(rng.Index(12));
-    std::string b = rng.RandomWord(rng.Index(12));
-    EXPECT_DOUBLE_EQ(JaroSimilarity(a, b), ReferenceJaro(a, b))
+  for (int i = 0; i < 3000; ++i) {
+    const size_t alphabet = 1 + rng.Index(26);
+    std::string a = RandomText(rng, rng.Index(201), alphabet);
+    std::string b = i % 2 == 0 ? RandomText(rng, rng.Index(201), alphabet)
+                               : NearDuplicate(rng, a, alphabet);
+    EXPECT_EQ(JaroSimilarity(a, b), ReferenceJaro(a, b))
         << "a='" << a << "' b='" << b << "'";
+    EXPECT_EQ(JaroSimilarity(b, a), ReferenceJaro(b, a))
+        << "a='" << b << "' b='" << a << "'";
   }
 }
 
@@ -281,6 +323,40 @@ TEST(PredicateTest, JaroWinklerPredicate) {
   EXPECT_TRUE(p.Evaluate("MARTHA", "MARHTA"));
   EXPECT_FALSE(p.Evaluate("MARTHA", "XQZRVW"));
   EXPECT_GT(p.BlockingEditBound(10), 0);
+}
+
+TEST(PredicateTest, JaroWinklerBoundIsExact) {
+  // The common-character bound may only reject pairs the full similarity
+  // rejects too: Evaluate must equal the plain threshold test.
+  const double kThresholds[] = {0.7, 0.8, 0.85, 0.9, 0.95, 1.0};
+  Rng rng(318);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int i = 0; i < 1500; ++i) {
+    const size_t alphabet = 1 + rng.Index(26);
+    std::string a = RandomText(rng, rng.Index(80), alphabet);
+    switch (i % 3) {
+      case 0:
+        pairs.emplace_back(a, RandomText(rng, rng.Index(80), alphabet));
+        break;
+      case 1:
+        pairs.emplace_back(a, NearDuplicate(rng, a, alphabet));
+        break;
+      default:
+        pairs.emplace_back(a, a);
+        break;
+    }
+  }
+  for (const auto& [a, b] : pairs) {
+    EXPECT_GE(JaroWinklerUpperBound(a, b) + 1e-9, JaroWinklerSimilarity(a, b))
+        << "a='" << a << "' b='" << b << "'";
+  }
+  for (double t : kThresholds) {
+    const auto p = SimilarityPredicate::JaroWinkler(t);
+    for (const auto& [a, b] : pairs) {
+      EXPECT_EQ(p.Evaluate(a, b), JaroWinklerSimilarity(a, b) >= t)
+          << "t=" << t << " a='" << a << "' b='" << b << "'";
+    }
+  }
 }
 
 TEST(PredicateTest, QGramPredicate) {

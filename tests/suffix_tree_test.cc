@@ -1,5 +1,9 @@
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +14,72 @@
 
 namespace uniclean {
 namespace similarity {
+
+/// The reference TopL: the same probe walk and per-probe leaf cap as
+/// GeneralizedSuffixTree::TopL, but with hash-map scores and no early exit,
+/// so every probe runs and every touched string is ranked.
+class SuffixTreeTestPeer {
+ public:
+  static std::vector<BlockingCandidate> ReferenceTopL(
+      const GeneralizedSuffixTree& tree, std::string_view q, int l,
+      int max_leaves_per_probe) {
+    std::vector<BlockingCandidate> result;
+    if (l <= 0 || q.empty()) return result;
+    auto symbol = [](char c) {
+      return static_cast<int32_t>(static_cast<unsigned char>(c));
+    };
+    std::vector<std::pair<int, int>> probes;  // (node, depth)
+    for (size_t start = 0; start < q.size(); ++start) {
+      int node = 0;
+      int depth = 0;
+      size_t i = start;
+      while (i < q.size()) {
+        const int next = tree.FindChild(node, symbol(q[i]));
+        if (next < 0) break;
+        const auto& child = tree.nodes_[static_cast<size_t>(next)];
+        const int len = tree.EdgeLength(child);
+        int advanced = 0;
+        bool mismatch = false;
+        for (int k = 0; k < len && i < q.size(); ++k, ++i) {
+          if (tree.text_[static_cast<size_t>(child.start + k)] !=
+              symbol(q[i])) {
+            mismatch = true;
+            break;
+          }
+          ++advanced;
+        }
+        depth += advanced;
+        node = next;
+        if (depth > 0) probes.emplace_back(node, depth);
+        if (mismatch || advanced < len) break;
+      }
+    }
+    std::unordered_map<int, int> best_score;
+    for (const auto& [node, depth] : probes) {
+      std::vector<int> starts;
+      tree.CollectLeaves(node, max_leaves_per_probe, &starts);
+      for (int s : starts) {
+        const int sid = tree.StringIdAt(s);
+        if (sid < 0) continue;
+        int& score = best_score[sid];
+        score = std::max(score, depth);
+      }
+    }
+    for (const auto& [sid, score] : best_score) {
+      result.push_back(BlockingCandidate{sid, score});
+    }
+    std::sort(result.begin(), result.end(),
+              [](const BlockingCandidate& a, const BlockingCandidate& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.string_id < b.string_id;
+              });
+    if (static_cast<int>(result.size()) > l) {
+      result.resize(static_cast<size_t>(l));
+    }
+    return result;
+  }
+};
+
 namespace {
 
 GeneralizedSuffixTree BuildTree(const std::vector<std::string>& strings) {
@@ -136,6 +206,54 @@ TEST(SuffixTreeTest, TopLScoreEqualsExactLcsWithGenerousCaps) {
     if (best_exact > 0) {
       ASSERT_FALSE(top.empty());
       EXPECT_EQ(top[0].score, best_exact);
+    }
+  }
+}
+
+TEST(SuffixTreeTest, TopLMatchesUnboundedReference) {
+  // A corpus with exact duplicates and many shared substrings, so score
+  // ties at the top-l boundary and truncated leaf collections both occur.
+  Rng rng(4242);
+  const std::vector<std::string> stems = {"data", "clean", "match",
+                                          "repair", "record", "rule"};
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 120; ++i) {
+    std::string s;
+    const size_t parts = 1 + rng.Index(3);
+    for (size_t p = 0; p < parts; ++p) {
+      if (rng.Index(2) == 0) {
+        s += stems[rng.Index(stems.size())];
+      } else {
+        const size_t len = 1 + rng.Index(5);
+        for (size_t j = 0; j < len; ++j) {
+          s.push_back(static_cast<char>('a' + rng.Index(6)));
+        }
+      }
+    }
+    corpus.push_back(s);
+    if (rng.Index(4) == 0) corpus.push_back(s);  // exact duplicate
+  }
+  const auto tree = BuildTree(corpus);
+  std::vector<std::string> queries = {"datamatch", "zzz", "a", "cleanrule"};
+  for (int i = 0; i < 40; ++i) {
+    queries.push_back(corpus[rng.Index(corpus.size())]);
+    std::string q;
+    const size_t len = 1 + rng.Index(12);
+    for (size_t j = 0; j < len; ++j) {
+      q.push_back(static_cast<char>('a' + rng.Index(8)));
+    }
+    queries.push_back(q);
+  }
+  std::vector<BlockingCandidate> out;
+  for (int l : {1, 2, 5, 20}) {
+    for (int cap : {1, 4, 64}) {
+      for (const auto& q : queries) {
+        const auto expected =
+            SuffixTreeTestPeer::ReferenceTopL(tree, q, l, cap);
+        tree.TopL(q, l, cap, &out);
+        EXPECT_EQ(out, expected) << "q=" << q << " l=" << l << " cap=" << cap;
+        EXPECT_EQ(tree.TopL(q, l, cap), expected);
+      }
     }
   }
 }
