@@ -215,9 +215,9 @@ std::shared_ptr<CleanEngine> BuildEngineFor(const gen::Dataset& ds) {
 /// One cold-vs-warm session triple: a single CleanEngine (one shared
 /// MatchEnvironment) cleans two identical dirty copies in successive
 /// sessions. The "build" point is Warmup() — pure MD index construction;
-/// "cold" is the first run, which fills the similarity / blocking / match
-/// memos; "warm" is the second run, where every probe hits the warm memos —
-/// the serving scenario's steady state.
+/// "cold" is the first run, which fills the match-list memos; "warm" is the
+/// second run, where every probe hits the warm memos — the serving
+/// scenario's steady state.
 void SessionPoint(const std::string& dataset, int num_tuples,
                   int master_size) {
   gen::GeneratorConfig config;

@@ -5,7 +5,7 @@
 // code doing the work, and *polled* — there is no preemption. The repair
 // engines poll at committed-fix boundaries only, so a tripped token always
 // unwinds between fixes and never leaves a torn relation (pinned by the
-// cancellation property tests in cleaner_test / serve_test).
+// cancellation property tests in delta_test / serve_test).
 //
 // IsCancelled() is the hot-path check: one relaxed atomic load when the
 // token is live, plus a steady_clock read only while a deadline is armed
@@ -116,7 +116,7 @@ class CancelToken {
 
 /// Polls `token` (which may be null) and returns its non-OK status if it
 /// has tripped. The standard guard at phase boundaries and in hot loops:
-///   UC_RETURN_IF_ERROR(common::PollCancel(ctx->cancel));
+///   UC_RETURN_IF_ERROR(common::PollCancel(options.cancel));
 inline Status PollCancel(const CancelToken* token) {
   if (token != nullptr && token->IsCancelled()) return token->status();
   return Status::OK();

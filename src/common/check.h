@@ -1,7 +1,7 @@
 // UC_CHECK: fatal invariant assertions for programming errors. Kept enabled in
 // release builds — cleaning algorithms rely on nontrivial invariants (queue /
-// counter bookkeeping, AVL balance, equivalence-class lattice) and a loud
-// failure beats silent data corruption in a cleaning system.
+// counter bookkeeping, equivalence-class lattice) and a loud failure beats
+// silent data corruption in a cleaning system.
 
 #ifndef UNICLEAN_COMMON_CHECK_H_
 #define UNICLEAN_COMMON_CHECK_H_

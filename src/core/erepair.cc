@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/avl_tree.h"
 #include "data/group_key.h"
 #include "reasoning/dependency_graph.h"
 
@@ -110,7 +109,7 @@ class ERepairRun {
 
   /// Procedure vCFDReslove (§6.2) backed by the 2-in-1 structure of §6.3:
   /// a hash table from group key to the group's member list and value
-  /// counts, plus an AVL tree keyed by entropy for the ascending walk.
+  /// counts, plus the groups ordered by entropy for the ascending walk.
   void VCfdResolve(RuleId rule) {
     const Cfd& cfd = ruleset_.cfd(rule);
     const AttributeId b = cfd.rhs()[0];
@@ -134,14 +133,18 @@ class ERepairRun {
       g.members.push_back(t);
       ++g.value_counts[tuple.value(b).id()];
     }
-    // AVL tree T of Fig. 9: only groups with nonzero entropy appear. The
-    // majority target is picked here, while the counts are already sorted,
-    // so resolution does not re-sort.
+    // The tree T of Fig. 9 (§6.3): only groups with nonzero entropy appear.
+    // T is filled once, walked once in ascending entropy order below δ2 and
+    // never updated, so a vector stable-sorted by entropy serves that one
+    // ordered walk; ties keep their first-encounter order. The majority
+    // target is picked here, while the counts are already sorted, so
+    // resolution does not re-sort.
     struct Resolvable {
+      double entropy;
       const Group* group;
       data::ValueId target;
     };
-    AvlTree<double, Resolvable> tree;
+    std::vector<Resolvable> by_entropy;
     for (const Group* group_ptr : group_order) {
       const Group& group = *group_ptr;
       if (group.value_counts.size() <= 1) continue;
@@ -163,19 +166,20 @@ class ERepairRun {
           best_count = count;
         }
       }
-      tree.Insert(GroupEntropy(counts), Resolvable{&group, best});
+      by_entropy.push_back(Resolvable{GroupEntropy(counts), &group, best});
     }
-    int skipped = tree.size();
-    tree.VisitBelow(
-        options_.delta2,
-        [this, b, rule](double entropy, const Resolvable& entry) {
-          (void)entropy;
-          ResolveGroup(entry.group->members, Value::FromId(entry.target), b,
-                       rule);
-          return true;
-        });
+    std::stable_sort(by_entropy.begin(), by_entropy.end(),
+                     [](const Resolvable& x, const Resolvable& y) {
+                       return x.entropy < y.entropy;
+                     });
+    const int candidates = static_cast<int>(by_entropy.size());
+    for (const Resolvable& entry : by_entropy) {
+      if (!(entry.entropy < options_.delta2)) break;
+      ResolveGroup(entry.group->members, Value::FromId(entry.target), b,
+                   rule);
+    }
     // Everything not visited had entropy >= δ2.
-    stats_.groups_skipped_high_entropy += skipped - resolved_this_call_;
+    stats_.groups_skipped_high_entropy += candidates - resolved_this_call_;
     stats_.groups_resolved += resolved_this_call_;
     resolved_this_call_ = 0;
   }

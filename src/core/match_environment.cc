@@ -6,10 +6,7 @@ namespace core {
 MatchEnvironment::MatchEnvironment(const rules::RuleSet& rules,
                                    const data::Relation& master,
                                    const MdMatcherOptions& options)
-    : rules_(&rules),
-      master_(&master),
-      options_(options),
-      indexed_master_size_(master.size()) {
+    : rules_(&rules), master_(&master), options_(options) {
   matchers_.resize(static_cast<size_t>(rules.num_rules()));
   for (rules::RuleId rule = 0; rule < rules.num_rules(); ++rule) {
     if (rules.IsCfd(rule)) continue;
@@ -17,15 +14,6 @@ MatchEnvironment::MatchEnvironment(const rules::RuleSet& rules,
         std::make_unique<MdMatcher>(rules.md(rule), master, options_);
     ++num_matchers_;
   }
-}
-
-int MatchEnvironment::RefreshMasterAppend() {
-  for (auto& matcher : matchers_) {
-    if (matcher != nullptr) matcher->AppendMaster();
-  }
-  const int newly_indexed = master_->size() - indexed_master_size_;
-  indexed_master_size_ = master_->size();
-  return newly_indexed;
 }
 
 core::MemoStats MatchEnvironment::MemoStats() const {

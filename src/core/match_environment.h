@@ -13,10 +13,9 @@
 // out probes the engine's one environment).
 //
 // Lifetime: the environment borrows `rules` and `master`; both must outlive
-// it. The rules must never be mutated; the master may only grow by appends,
-// and only while no session runs — after appending, call
-// RefreshMasterAppend() (with exclusive access) to fold the new tuples into
-// the indexes. Until then probes see the master as of the last refresh.
+// it and must never change. The paper's master data Dm is clean and static,
+// which is what makes every memoized match list valid for the environment's
+// whole lifetime.
 //
 // Thread safety: after construction the environment is an immutable
 // artifact plus internally synchronized memos — matcher() and every
@@ -69,21 +68,6 @@ class MatchEnvironment {
   /// Number of matchers this environment built (== number of MD rules).
   int num_matchers() const { return num_matchers_; }
 
-  /// Master tuples covered by the matchers' indexes: master().size() at
-  /// construction, catching up on RefreshMasterAppend(). Falls behind when
-  /// the caller appends tuples to the (caller-owned) master relation.
-  int indexed_master_size() const { return indexed_master_size_; }
-
-  /// Folds master tuples appended since construction (or the previous
-  /// refresh) into every matcher's indexes (see MdMatcher::AppendMaster):
-  /// equality indexes and all-master lists grow incrementally, suffix trees
-  /// are rebuilt, match-list memos are dropped. Requires exclusive access —
-  /// no Session may be running against
-  /// this environment and no references into its memos may be live. The
-  /// master must only have grown by appends; indexed tuples must be
-  /// unchanged. Returns the number of newly indexed master tuples.
-  int RefreshMasterAppend();
-
   /// Aggregated memo statistics across every matcher of the environment:
   /// resident entries, a bytes estimate, hit/miss counters and the number
   /// of results refused admission past MdMatcherOptions::memo_capacity.
@@ -99,10 +83,7 @@ class MatchEnvironment {
   struct RestoreTag {};
   MatchEnvironment(const rules::RuleSet& rules, const data::Relation& master,
                    const MdMatcherOptions& options, RestoreTag)
-      : rules_(&rules),
-        master_(&master),
-        options_(options),
-        indexed_master_size_(master.size()) {
+      : rules_(&rules), master_(&master), options_(options) {
     matchers_.resize(static_cast<size_t>(rules.num_rules()));
   }
 
@@ -111,7 +92,6 @@ class MatchEnvironment {
   MdMatcherOptions options_;
   std::vector<std::unique_ptr<MdMatcher>> matchers_;  // indexed by rule id
   int num_matchers_ = 0;
-  int indexed_master_size_ = 0;  // see RefreshMasterAppend()
 };
 
 }  // namespace core

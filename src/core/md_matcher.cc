@@ -35,7 +35,7 @@ namespace {
 /// Per-(thread, matcher) scratch for match lists that bypass the memo
 /// (use_memos = false, or admission refused past memo_capacity). Keyed by
 /// matcher so a reference handed out by one matcher survives the same
-/// thread probing *another* matcher — the guarantee user phases iterating
+/// thread probing *another* matcher — the guarantee callers iterating
 /// several MD rules rely on (a plain shared thread_local would alias them).
 /// Entries for destroyed matchers linger (the key is never dereferenced);
 /// so a long-lived worker thread in a server that keeps rebuilding engines
@@ -68,9 +68,38 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
   g_constructed_count.fetch_add(1, std::memory_order_relaxed);
   if (!options_.use_blocking) return;
   if (!equality_clauses_.empty()) {
-    IndexEqualityRange(0, dm_.size());
+    // Hash index over the master projection of every equality clause.
+    for (data::TupleId s = 0; s < dm_.size(); ++s) {
+      bool has_null = false;
+      for (size_t i : equality_clauses_) {
+        if (dm_.tuple(s).value(md_.premise()[i].master_attr).is_null()) {
+          has_null = true;
+          break;
+        }
+      }
+      if (has_null) continue;  // null never satisfies a premise clause
+      equality_index_[EqualityKey(equality_clauses_, md_, dm_.tuple(s),
+                                  /*master_side=*/true)]
+          .push_back(s);
+    }
   } else if (blocking_clause_ >= 0) {
-    RebuildSuffixTree();
+    // Suffix tree over the distinct master values of the blocking clause's
+    // attribute, each owning the master tuples that carry it.
+    const data::AttributeId attr =
+        md_.premise()[static_cast<size_t>(blocking_clause_)].master_attr;
+    std::unordered_map<data::ValueId, int> value_to_string_id;
+    for (data::TupleId s = 0; s < dm_.size(); ++s) {
+      const data::Value& v = dm_.tuple(s).value(attr);
+      if (v.is_null()) continue;
+      auto [it, inserted] = value_to_string_id.emplace(
+          v.id(), static_cast<int>(value_owners_.size()));
+      if (inserted) {
+        tree_.AddString(v.view());
+        value_owners_.emplace_back();
+      }
+      value_owners_[static_cast<size_t>(it->second)].push_back(s);
+    }
+    tree_.Build();
   }
 }
 
@@ -79,8 +108,7 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
     : md_(md),
       dm_(dm),
       options_(options),
-      match_cache_(options.memo_capacity),
-      indexed_masters_(dm.size()) {
+      match_cache_(options.memo_capacity) {
   UC_CHECK(md_.normalized()) << "MdMatcher requires a normalized MD";
   // Matches() keys its memo on the full premise projection; enforce the
   // GroupKey width limit here for matchers built outside RuleSet::Make.
@@ -104,72 +132,6 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
       all_masters_[static_cast<size_t>(s)] = s;
     }
   }
-}
-
-void MdMatcher::IndexEqualityRange(data::TupleId begin, data::TupleId end) {
-  for (data::TupleId s = begin; s < end; ++s) {
-    bool has_null = false;
-    for (size_t i : equality_clauses_) {
-      if (dm_.tuple(s).value(md_.premise()[i].master_attr).is_null()) {
-        has_null = true;
-        break;
-      }
-    }
-    if (has_null) continue;  // null never satisfies a premise clause
-    equality_index_[EqualityKey(equality_clauses_, md_, dm_.tuple(s),
-                                /*master_side=*/true)]
-        .push_back(s);
-  }
-}
-
-void MdMatcher::RebuildSuffixTree() {
-  // Index the distinct master values of the blocking clause's attribute.
-  // Ukkonen's build is one-shot (AddString then a single Build), so a
-  // master append rebuilds the tree from scratch.
-  tree_ = similarity::GeneralizedSuffixTree();
-  value_owners_.clear();
-  const data::AttributeId attr =
-      md_.premise()[static_cast<size_t>(blocking_clause_)].master_attr;
-  std::unordered_map<data::ValueId, int> value_to_string_id;
-  for (data::TupleId s = 0; s < dm_.size(); ++s) {
-    const data::Value& v = dm_.tuple(s).value(attr);
-    if (v.is_null()) continue;
-    auto [it, inserted] = value_to_string_id.emplace(
-        v.id(), static_cast<int>(value_owners_.size()));
-    if (inserted) {
-      tree_.AddString(v.view());
-      value_owners_.emplace_back();
-    }
-    value_owners_[static_cast<size_t>(it->second)].push_back(s);
-  }
-  tree_.Build();
-}
-
-int MdMatcher::AppendMaster() {
-  const data::TupleId old_size = indexed_masters_;
-  if (dm_.size() == old_size) return 0;
-  UC_CHECK_GT(dm_.size(), old_size)
-      << "MdMatcher::AppendMaster: master relation shrank (append-only "
-         "growth is required)";
-  // Paths that materialize every master id extend incrementally.
-  if (!options_.use_blocking ||
-      (equality_clauses_.empty() && blocking_clause_ < 0)) {
-    for (data::TupleId s = old_size; s < dm_.size(); ++s) {
-      all_masters_.push_back(s);
-    }
-  }
-  if (options_.use_blocking) {
-    if (!equality_clauses_.empty()) {
-      IndexEqualityRange(old_size, dm_.size());
-    } else if (blocking_clause_ >= 0) {
-      RebuildSuffixTree();
-    }
-  }
-  // Match lists were computed against the smaller master and may be
-  // missing the new tuples; drop them.
-  match_cache_.Clear();
-  indexed_masters_ = dm_.size();
-  return dm_.size() - old_size;
 }
 
 const std::vector<data::TupleId>& MdMatcher::Candidates(

@@ -8,18 +8,19 @@
 // (see Matches()). A brute-force mode exists for the blocking ablation
 // bench.
 //
+// The indexes are built once, in the constructor, over the master relation
+// as it is then; the master must not change for the matcher's lifetime.
+//
 // Thread safety: after construction the indexes are immutable and the memo
 // is sharded behind striped locks (see core/sharded_memo.h), so any number
 // of threads may call Matches / FindMatches / FindFirstMatch concurrently —
 // the engine entry point concurrent uniclean::Session runs rely on. Every
 // memoized result is a pure function of its key over the static master
-// data, so cache sharing across threads cannot change outcomes. The one
-// mutating operation is AppendMaster() (master-data growth), which
-// requires exclusive access. References returned by Matches() stay valid
-// for the matcher's lifetime when they point into the memo; results that
-// were refused admission (capacity cap, or use_memos = false) live in
-// per-(thread, matcher) scratch valid until the same thread's next probe of
-// the same matcher.
+// data, so cache sharing across threads cannot change outcomes. References
+// returned by Matches() stay valid for the matcher's lifetime when they
+// point into the memo; results that were refused admission (capacity cap,
+// or use_memos = false) live in per-(thread, matcher) scratch valid until
+// the same thread's next probe of the same matcher.
 
 #ifndef UNICLEAN_CORE_MD_MATCHER_H_
 #define UNICLEAN_CORE_MD_MATCHER_H_
@@ -61,7 +62,8 @@ struct MdMatcherOptions {
 
 class MdMatcher {
  public:
-  /// Builds the index for one normalized MD over the master relation.
+  /// Builds the index for one normalized MD over the master relation, which
+  /// must outlive the matcher unchanged.
   MdMatcher(const rules::Md& md, const data::Relation& dm,
             const MdMatcherOptions& options = {});
 
@@ -96,24 +98,6 @@ class MdMatcher {
   /// Session re-run on the same engine must not move this counter.
   static uint64_t ConstructedCount();
 
-  /// Master tuples covered by the indexes: dm.size() at construction and
-  /// after every AppendMaster() call; falls behind when the caller appends
-  /// tuples to the master relation.
-  int indexed_masters() const { return indexed_masters_; }
-
-  /// Folds master tuples appended since construction (or the previous call)
-  /// into the indexes: the equality index and the materialized all-masters
-  /// list grow incrementally; the suffix tree is rebuilt (Ukkonen's build is
-  /// one-shot). The match-list memo is dropped: its entries were computed
-  /// against the smaller master. Returns the number of newly indexed master
-  /// tuples.
-  ///
-  /// NOT thread-safe: requires exclusive access to the matcher (no
-  /// concurrent probes, no live references into the dropped memo). The
-  /// master relation must only have grown by appends since the last index;
-  /// already-indexed tuples must be unchanged.
-  int AppendMaster();
-
  private:
   // snapshot::Codec restores a matcher from a snapshot section through the
   // restore constructor below: it derives the clause roles and the
@@ -130,8 +114,6 @@ class MdMatcher {
   // Blocking candidates for `t`: a list owned by the index, or thread_local
   // scratch valid until the calling thread's next Candidates() call.
   const std::vector<data::TupleId>& Candidates(const data::Tuple& t) const;
-  void IndexEqualityRange(data::TupleId begin, data::TupleId end);
-  void RebuildSuffixTree();
 
   const rules::Md& md_;
   const data::Relation& dm_;
@@ -160,9 +142,6 @@ class MdMatcher {
   // Materialized 0..|Dm|-1 (brute force / empty premise paths); built in
   // the constructor when one of those paths is configured, immutable after.
   std::vector<data::TupleId> all_masters_;
-
-  // Master tuples covered by the indexes above; see AppendMaster().
-  int indexed_masters_ = 0;
 };
 
 }  // namespace core

@@ -108,19 +108,6 @@ class ShardedMemo {
   }
   size_t capacity() const { return capacity_; }
 
-  /// Drops every resident entry and resets the entry count, invalidating
-  /// all pointers ever handed out by Find/Insert. The caller
-  /// must guarantee exclusive access: no concurrent probes and no live
-  /// references (e.g. a master-data refresh performed while no Session is
-  /// running). Hit/miss/eviction counters are preserved.
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-    }
-    entries_.store(0, std::memory_order_relaxed);
-  }
-
   /// Visits every resident entry as `fn(key, mapped)`, one shard at a time
   /// under that shard's lock (keep `fn` cheap and lock-free). Entry order is
   /// unspecified. Concurrent inserts into a not-yet-visited shard may or may

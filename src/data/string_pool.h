@@ -16,7 +16,7 @@
 // never move — while Intern() serializes writers behind a mutex. This is
 // what lets concurrent uniclean::Session runs share one pool: cleaning is
 // read-mostly (repairs copy already-interned master ids), and the rare
-// intern (e.g. a user phase constructing a fresh Value) is correct, just
+// intern (e.g. a phase constructing a fresh Value) is correct, just
 // not contention-free. Installing a different global pool (ScopedStringPool)
 // is NOT thread-safe and must happen while no other thread touches values.
 

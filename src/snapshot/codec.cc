@@ -171,7 +171,7 @@ void Codec::AppendTree(const similarity::GeneralizedSuffixTree& tree,
 }
 
 void Codec::AppendMatcher(const core::MdMatcher& matcher, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(matcher.indexed_masters()));
+  PutU32(out, static_cast<uint32_t>(matcher.dm_.size()));
   if (!matcher.options_.use_blocking) {
     PutU8(out, kKindNone);
     return;
@@ -232,10 +232,10 @@ void Codec::AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,
 Status Codec::RestoreTree(core::MdMatcher* matcher, ByteReader* r) {
   core::MdMatcher& m = *matcher;
   similarity::GeneralizedSuffixTree& tree = m.tree_;
-  // Re-derive the cheap half exactly as RebuildSuffixTree does — the
-  // indexed strings, their owners and the concatenated text come from the
-  // master relation in tuple order — then install the serialized expensive
-  // half (nodes + leaf slices) instead of running Ukkonen's build.
+  // Re-derive the cheap half exactly as the MdMatcher constructor does —
+  // the indexed strings, their owners and the concatenated text come from
+  // the master relation in tuple order — then install the serialized
+  // expensive half (nodes + leaf slices) instead of running Ukkonen's build.
   const data::AttributeId attr =
       m.md_.premise()[static_cast<size_t>(m.blocking_clause_)].master_attr;
   std::unordered_map<data::ValueId, int> value_to_string_id;

@@ -8,7 +8,6 @@
 #include "data/schema.h"
 #include "reasoning/consistency.h"
 #include "rules/parser.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/detail.h"
 
 namespace uniclean {
@@ -29,12 +28,7 @@ const core::MatchEnvironment& CleanEngine::environment() const {
 }
 
 Session CleanEngine::NewSession() const {
-  std::vector<std::unique_ptr<Phase>> phases;
-  phases.reserve(phase_factories_.size());
-  for (const PhaseFactory& factory : phase_factories_) {
-    phases.push_back(factory());
-  }
-  return Session(shared_from_this(), std::move(phases));
+  return Session(shared_from_this());
 }
 
 Session CleanEngine::NewTrackedSession() const {
@@ -67,19 +61,8 @@ uint64_t CleanEngine::Fingerprint() const {
   return h;
 }
 
-int CleanEngine::RefreshMasterIndexes() const {
-  environment();  // ensure built; past the call_once, env_ is stable
-  return env_->RefreshMasterAppend();
-}
-
 std::vector<std::string> CleanEngine::PhaseNames() const {
-  // Factories are the source of truth; instantiate transiently for names.
-  std::vector<std::string> names;
-  names.reserve(phase_factories_.size());
-  for (const PhaseFactory& factory : phase_factories_) {
-    names.emplace_back(factory()->name());
-  }
-  return names;
+  return std::vector<std::string>(phases_.begin(), phases_.end());
 }
 
 std::vector<Result<CleanResult>> CleanEngine::RunBatch(
@@ -207,20 +190,6 @@ EngineBuilder& EngineBuilder::WithDefaultPhases(bool crepair, bool erepair,
   run_crepair_ = crepair;
   run_erepair_ = erepair;
   run_hrepair_ = hrepair;
-  factory_pipeline_ = false;
-  factories_.clear();
-  return *this;
-}
-
-EngineBuilder& EngineBuilder::WithPhaseFactories(
-    std::vector<PhaseFactory> factories) {
-  factories_ = std::move(factories);
-  factory_pipeline_ = true;
-  return *this;
-}
-
-EngineBuilder& EngineBuilder::AddPhaseFactory(PhaseFactory factory) {
-  extra_factories_.push_back(std::move(factory));
   return *this;
 }
 
@@ -332,16 +301,10 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngine() {
     }
   }
 
-  // Pipeline factories: the engine keeps factories, not phase instances, so
-  // NewSession() can stamp out fresh instances forever.
-  engine->phase_factories_ =
-      factory_pipeline_ ? std::move(factories_)
-                        : MakeDefaultPhaseFactories(run_crepair_, run_erepair_,
-                                                    run_hrepair_);
-  for (PhaseFactory& factory : extra_factories_) {
-    engine->phase_factories_.push_back(std::move(factory));
-  }
-  extra_factories_.clear();
+  // The selected phases, in paper order.
+  if (run_crepair_) engine->phases_.push_back(kCRepairPhase);
+  if (run_erepair_) engine->phases_.push_back(kERepairPhase);
+  if (run_hrepair_) engine->phases_.push_back(kHRepairPhase);
   return engine;
 }
 

@@ -19,6 +19,11 @@
 //   uniclean::Session session = (*engine)->NewSession();
 //   auto result = session.Run(&batch);
 //
+// The engine is the paper's pipeline over fixed inputs: the master Dm and
+// the rules Θ are read once at build and never change afterwards, and every
+// session runs the selected subset of cRepair → eRepair → hRepair, in that
+// order.
+//
 // Thread-safety contract: after BuildEngine() returns, every const method
 // of CleanEngine is safe from any number of threads. Concurrent
 // Session::Run() calls over *independent* data relations are data-race-free
@@ -37,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -57,8 +63,8 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   CleanEngine(const CleanEngine&) = delete;
   CleanEngine& operator=(const CleanEngine&) = delete;
 
-  /// A fresh per-run handle: new phase instances, no data bound yet. Cheap
-  /// (a few small allocations); call per request in a serving loop.
+  /// A fresh per-run handle with no data bound yet. Cheap (one shared_ptr
+  /// copy); call per request in a serving loop.
   Session NewSession() const;
 
   /// Like NewSession(), but with delta tracking armed: the session's Run()
@@ -97,18 +103,6 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// sessions are running.
   core::MemoStats MemoStats() const { return environment().MemoStats(); }
 
-  /// Folds master tuples the caller appended (only possible with a
-  /// caller-owned master: WithMaster(const data::Relation*)) into the warm
-  /// match environment — equality indexes and suffix trees catch up, stale
-  /// match-list memos are dropped (see
-  /// core::MatchEnvironment::RefreshMasterAppend). Returns the number of
-  /// newly indexed master tuples. NOT safe while any Session is running:
-  /// callers must quiesce sessions first (the refresh invalidates memo
-  /// references and rewrites the indexes in place). A tracked session's next
-  /// ApplyDelta, even an empty one, re-runs its relation against the grown
-  /// master.
-  int RefreshMasterIndexes() const;
-
   const data::Relation& master() const { return *master_; }
   const rules::RuleSet& rules() const { return *rules_; }
   const PipelineConfig& config() const { return config_; }
@@ -119,12 +113,13 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// master contents and thresholds report the same fingerprint; serving
   /// deployments (unicleand RELOAD) compare fingerprints across an engine
   /// swap to tell a no-op reload from a real one. O(master cells) per call;
-  /// safe while sessions run (master data is immutable post-build — a
-  /// caller-owned master grown for RefreshMasterIndexes changes the
-  /// fingerprint, which is the point).
+  /// safe while sessions run, and constant over the engine's lifetime
+  /// (master data never changes after build).
   uint64_t Fingerprint() const;
 
-  /// Phase names a NewSession() pipeline will run, in order.
+  /// Phase names a NewSession() pipeline will run, in paper order: the
+  /// WithDefaultPhases selection of kCRepairPhase, kERepairPhase and
+  /// kHRepairPhase.
   std::vector<std::string> PhaseNames() const;
 
   /// Path of the snapshot this engine's match environment was loaded from
@@ -135,6 +130,7 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
 
  private:
   friend class EngineBuilder;
+  friend class Session;  // runs phases_
   CleanEngine() = default;
 
   // Owned storage is held behind unique_ptr so the aliasing raw pointers
@@ -144,7 +140,8 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   const data::Relation* master_ = nullptr;
   const rules::RuleSet* rules_ = nullptr;
   PipelineConfig config_;
-  std::vector<PhaseFactory> phase_factories_;
+  // The selected phases, in paper order (kCRepairPhase, ... constants).
+  std::vector<std::string_view> phases_;
   // Lazily built, then immutable; call_once makes the build thread-safe
   // (two racing first Runs construct it exactly once). FromSnapshot installs
   // env_ before the engine escapes the builder; environment()'s lambda
@@ -171,7 +168,8 @@ class EngineBuilder {
 
   // --- master relation Dm --------------------------------------------------
   EngineBuilder& WithMaster(data::Relation master);
-  /// Non-owning; the relation must outlive the engine.
+  /// Non-owning; the relation must outlive the engine and must not change
+  /// while the engine exists — its indexes and memos are built from it once.
   EngineBuilder& WithMaster(const data::Relation* master);
   EngineBuilder& WithMasterCsv(std::string path);
 
@@ -192,15 +190,10 @@ class EngineBuilder {
   EngineBuilder& WithMatcherOptions(core::MdMatcherOptions matcher);
 
   // --- pipeline ------------------------------------------------------------
-  /// Selects which built-in phases sessions run (all three by default, in
-  /// paper order).
+  /// Selects which of the paper's phases sessions run (all three by
+  /// default). Selected phases always run in paper order: cRepair, eRepair,
+  /// hRepair.
   EngineBuilder& WithDefaultPhases(bool crepair, bool erepair, bool hrepair);
-  /// Replaces the whole pipeline with per-session phase factories — each
-  /// NewSession() invokes every factory once, so phase state never crosses
-  /// sessions.
-  EngineBuilder& WithPhaseFactories(std::vector<PhaseFactory> factories);
-  /// Appends a per-session phase factory after the current pipeline.
-  EngineBuilder& AddPhaseFactory(PhaseFactory factory);
 
   // --- diagnostics ---------------------------------------------------------
   /// Verifies at build that the rules are consistent (§4.1); an
@@ -245,9 +238,6 @@ class EngineBuilder {
   bool run_crepair_ = true;
   bool run_erepair_ = true;
   bool run_hrepair_ = true;
-  bool factory_pipeline_ = false;
-  std::vector<PhaseFactory> factories_;
-  std::vector<PhaseFactory> extra_factories_;
   bool check_consistency_ = false;
 };
 

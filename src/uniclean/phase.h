@@ -1,30 +1,33 @@
-// Phase: the pluggable unit of the Session pipeline. The paper's Fig. 2
-// phases (cRepair / eRepair / hRepair, see builtin_phases.h) are the
-// default implementations; additional phases — a probabilistic repair pass,
-// a rule-discovery preprocessor, a custom validator — implement the same
-// two-method interface and are registered as factories through
-// EngineBuilder::WithPhaseFactories / AddPhaseFactory.
+// The vocabulary of the Session pipeline: the paper's Fig. 2 phases —
+// cRepair (§5), eRepair (§6), hRepair (§7) — always run in that order,
+// over the selected subset (EngineBuilder::WithDefaultPhases). This header
+// names the phases and carries what a run reports about each of them: the
+// validated thresholds they read, their PhaseStats, and the PhaseEvent a
+// progress callback observes.
 
 #ifndef UNICLEAN_UNICLEAN_PHASE_H_
 #define UNICLEAN_UNICLEAN_PHASE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
-#include "common/result.h"
-#include "core/match_environment.h"
 #include "core/md_matcher.h"
 #include "data/relation.h"
-#include "rules/ruleset.h"
-#include "uniclean/fix_journal.h"
 
 namespace uniclean {
+
+// Phase names, as journals, PhaseStats::phase and PhaseNames() spell them.
+
+/// Deterministic fixes with data confidence (§5).
+inline constexpr std::string_view kCRepairPhase = "cRepair";
+/// Reliable fixes with information entropy (§6).
+inline constexpr std::string_view kERepairPhase = "eRepair";
+/// Heuristic possible fixes yielding a consistent repair (§7).
+inline constexpr std::string_view kHRepairPhase = "hRepair";
 
 /// Validated pipeline thresholds, shared by all phases.
 struct PipelineConfig {
@@ -38,36 +41,12 @@ struct PipelineConfig {
   core::MdMatcherOptions matcher;
 };
 
-/// Everything a phase may read or mutate during one Session::Run(). The
-/// relations and rules outlive the run; `data` is cleaned in place.
-struct PipelineContext {
-  data::Relation* data = nullptr;
-  const data::Relation* master = nullptr;
-  const rules::RuleSet* rules = nullptr;
-  PipelineConfig config;
-  /// Fix provenance sink; phases append one entry per fix. Never null
-  /// during a Session::Run().
-  FixJournal* journal = nullptr;
-  /// The session's shared match environment: one warm MdMatcher (index +
-  /// memos) per MD rule, scoped to (rules, master). Never null during a
-  /// Session::Run() — built once per engine lifetime and reused by every
-  /// phase of every run, so user phases should probe MDs through
-  /// `match_env->matcher(rule)` rather than constructing their own matcher.
-  const core::MatchEnvironment* match_env = nullptr;
-  /// Optional cooperative-cancellation token (null = uncancellable). The
-  /// executor polls it between phases; the built-in phases forward it into
-  /// the repair engines, which poll between committed fixes. User phases
-  /// should honour it too: `UC_RETURN_IF_ERROR(common::PollCancel(cancel))`
-  /// at convenient safe points.
-  const common::CancelToken* cancel = nullptr;
-};
-
 /// What one phase did. Session::Run() collects one per executed phase.
 struct PhaseStats {
-  /// Phase name; filled in by the Session from Phase::name().
+  /// Phase name: kCRepairPhase, kERepairPhase or kHRepairPhase.
   std::string phase;
-  /// Cells this phase changed (fix events; matches the phase's journal
-  /// entry count for the built-in phases).
+  /// Cells this phase changed (fix events; equals the phase's journal entry
+  /// count).
   int fixes = 0;
   /// Record matches identified while cleaning: (data tuple, master tuple).
   std::vector<std::pair<data::TupleId, data::TupleId>> matches;
@@ -81,21 +60,6 @@ struct PhaseStats {
     }
     return 0;
   }
-};
-
-/// One pipeline stage. Implementations must tolerate any data state their
-/// predecessors may leave (phases are user-orderable) and report expected
-/// failures through the returned Result rather than aborting.
-class Phase {
- public:
-  virtual ~Phase() = default;
-
-  /// Stable display name, e.g. "cRepair". Also recorded in journal entries.
-  virtual std::string_view name() const = 0;
-
-  /// Executes the phase against `ctx->data`. A non-OK status aborts the
-  /// pipeline and propagates out of Session::Run().
-  virtual Result<PhaseStats> Run(PipelineContext* ctx) = 0;
 };
 
 /// Progress notification delivered to the Session's progress callback
@@ -114,13 +78,6 @@ struct PhaseEvent {
 };
 
 using ProgressCallback = std::function<void(const PhaseEvent&)>;
-
-/// Creates one fresh Phase instance. A CleanEngine stores factories rather
-/// than phase objects so every NewSession() gets its own instances and
-/// stateful phases never race across concurrent sessions. Factories must be
-/// callable from any thread (NewSession is thread-safe) and must not share
-/// mutable state between the phases they create.
-using PhaseFactory = std::function<std::unique_ptr<Phase>()>;
 
 }  // namespace uniclean
 

@@ -2,10 +2,107 @@
 
 #include <algorithm>
 
+#include "core/crepair.h"
+#include "core/erepair.h"
+#include "core/hrepair.h"
 #include "uniclean/detail.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
+
+namespace {
+
+/// A FixObserver that appends one journal entry per fix under `phase`,
+/// resolving rule ids to names against the engine's rule set.
+core::FixObserver JournalObserver(FixJournal* journal,
+                                  const rules::RuleSet& rules,
+                                  const data::Relation& data,
+                                  std::string_view phase) {
+  return [journal, &rules, &data, phase](data::TupleId t, data::AttributeId a,
+                                         const data::Value& old_value,
+                                         const data::Value& new_value,
+                                         rules::RuleId rule) {
+    FixEntry entry;
+    entry.tuple = t;
+    entry.attr = a;
+    entry.attribute = data.schema().attribute_name(a);
+    entry.old_value = old_value;
+    entry.new_value = new_value;
+    entry.phase = std::string(phase);
+    if (rule >= 0 && rule < rules.num_rules()) {
+      entry.rule = rules.rule_name(rule);
+    }
+    journal->Append(std::move(entry));
+  };
+}
+
+// The three core engines, each run as one pipeline phase: the engine's
+// thresholds in, the phase's PhaseStats out. A tripped cancel token comes
+// back as the engine's interrupt status.
+
+Result<PhaseStats> RunCRepair(data::Relation* data,
+                              const core::MatchEnvironment& env,
+                              const PipelineConfig& config,
+                              core::FixObserver on_fix,
+                              const common::CancelToken* cancel) {
+  core::CRepairOptions opts;
+  opts.eta = config.eta;
+  opts.on_fix = std::move(on_fix);
+  opts.cancel = cancel;
+  const core::CRepairStats stats = core::CRepair(data, env, opts);
+  UC_RETURN_IF_ERROR(stats.interrupt);
+  PhaseStats out;
+  out.fixes = stats.deterministic_fixes;
+  out.matches = stats.md_matches;
+  out.counters = {{"confidence_upgrades", stats.confidence_upgrades},
+                  {"rule_applications", stats.rule_applications},
+                  {"conflicts", stats.conflicts}};
+  return out;
+}
+
+Result<PhaseStats> RunERepair(data::Relation* data,
+                              const core::MatchEnvironment& env,
+                              const PipelineConfig& config,
+                              core::FixObserver on_fix,
+                              const common::CancelToken* cancel) {
+  core::ERepairOptions opts;
+  opts.delta1 = config.delta1;
+  opts.delta2 = config.delta2;
+  opts.eta = config.eta;
+  opts.on_fix = std::move(on_fix);
+  opts.cancel = cancel;
+  const core::ERepairStats stats = core::ERepair(data, env, opts);
+  UC_RETURN_IF_ERROR(stats.interrupt);
+  PhaseStats out;
+  out.fixes = stats.reliable_fixes;
+  out.matches = stats.md_matches;
+  out.counters = {
+      {"groups_resolved", stats.groups_resolved},
+      {"groups_skipped_high_entropy", stats.groups_skipped_high_entropy},
+      {"passes", stats.passes}};
+  return out;
+}
+
+Result<PhaseStats> RunHRepair(data::Relation* data,
+                              const core::MatchEnvironment& env,
+                              core::FixObserver on_fix,
+                              const common::CancelToken* cancel) {
+  core::HRepairOptions opts;
+  opts.on_fix = std::move(on_fix);
+  opts.cancel = cancel;
+  const core::HRepairStats stats = core::HRepair(data, env, opts);
+  UC_RETURN_IF_ERROR(stats.interrupt);
+  PhaseStats out;
+  out.fixes = stats.possible_fixes;
+  out.matches = stats.md_matches;
+  out.counters = {{"merges", stats.merges},
+                  {"nulls_introduced", stats.nulls_introduced},
+                  {"passes", stats.passes},
+                  {"anomalies", stats.anomalies}};
+  return out;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // CleanResult
@@ -51,46 +148,42 @@ int DeltaResult::total_fixes() const {
 
 Result<std::vector<PhaseStats>> Session::ExecutePipeline(data::Relation* data,
                                                          FixJournal* journal) {
-  std::vector<PhaseStats> executed;
-  PipelineContext ctx;
-  ctx.data = data;
-  ctx.master = &engine_->master();
-  ctx.rules = &engine_->rules();
-  ctx.config = engine_->config();
-  ctx.journal = journal;
-  ctx.match_env = &engine_->environment();
-  ctx.cancel = cancel_.get();
+  const std::vector<std::string_view>& phases = engine_->phases_;
+  const core::MatchEnvironment& env = engine_->environment();
+  const PipelineConfig& config = engine_->config();
+  const common::CancelToken* cancel = cancel_.get();
 
-  const int total = static_cast<int>(phases_.size());
-  executed.reserve(static_cast<size_t>(total));
+  const int total = static_cast<int>(phases.size());
+  std::vector<PhaseStats> executed;
+  executed.reserve(phases.size());
   for (int i = 0; i < total; ++i) {
-    UC_RETURN_IF_ERROR(common::PollCancel(ctx.cancel));
-    Phase& phase = *phases_[static_cast<size_t>(i)];
-    if (progress_) {
-      PhaseEvent event;
-      event.kind = PhaseEvent::Kind::kPhaseStarted;
-      event.index = i;
-      event.total = total;
-      event.phase = phase.name();
-      event.data = data;
-      progress_(event);
-    }
-    Result<PhaseStats> stats = phase.Run(&ctx);
+    UC_RETURN_IF_ERROR(common::PollCancel(cancel));
+    const std::string_view name = phases[static_cast<size_t>(i)];
+    PhaseEvent event;
+    event.kind = PhaseEvent::Kind::kPhaseStarted;
+    event.index = i;
+    event.total = total;
+    event.phase = name;
+    event.data = data;
+    if (progress_) progress_(event);
+    core::FixObserver on_fix =
+        JournalObserver(journal, engine_->rules(), *data, name);
+    Result<PhaseStats> stats =
+        name == kCRepairPhase
+            ? RunCRepair(data, env, config, std::move(on_fix), cancel)
+        : name == kERepairPhase
+            ? RunERepair(data, env, config, std::move(on_fix), cancel)
+            : RunHRepair(data, env, std::move(on_fix), cancel);
     if (!stats.ok()) {
       return internal::Annotate(stats.status(),
-                                "phase '" + std::string(phase.name()) + "': ");
+                                "phase '" + std::string(name) + "': ");
     }
     PhaseStats phase_stats = std::move(stats).value();
-    phase_stats.phase = std::string(phase.name());
+    phase_stats.phase = std::string(name);
     executed.push_back(std::move(phase_stats));
     if (progress_) {
-      PhaseEvent event;
       event.kind = PhaseEvent::Kind::kPhaseFinished;
-      event.index = i;
-      event.total = total;
-      event.phase = phase.name();
       event.stats = &executed.back();
-      event.data = data;
       progress_(event);
     }
   }
@@ -159,7 +252,6 @@ Result<CleanResult> Session::Run(data::Relation* data) {
   if (track_deltas_) {
     journal_ = result.journal;
     canonical_ = result.journal.Canonicalized();
-    known_master_size_ = engine_->environment().indexed_master_size();
   }
   return result;
 }
@@ -179,11 +271,10 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
   // Polled again by the pipeline; this entry check makes an already-expired
   // deadline fail before any work is done.
   UC_RETURN_IF_ERROR(common::PollCancel(cancel_.get()));
-  const int master_size = engine_->environment().indexed_master_size();
 
   DeltaResult result;
-  if (delta.empty() && master_size == known_master_size_) {
-    // True no-op: no edits, no master growth — the last run's repairs stand.
+  if (delta.empty()) {
+    // No edits: the last run's repairs stand.
     result.generation = generation_;
     return result;
   }
@@ -226,8 +317,7 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
 
   // Stage the edits on a copy of the pristine relation and run the whole
   // pipeline over it: the batch run over the edited relation, against the
-  // warm (and possibly grown) match environment. Nothing is committed until
-  // it succeeds.
+  // warm match environment. Nothing is committed until it succeeds.
   const auto stage = [&delta](data::Relation* relation) {
     std::vector<data::TupleId> inserted_ids;
     for (const auto& [t, tup] : delta.updates) relation->mutable_tuple(t) = tup;
@@ -250,7 +340,6 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
 
   stage(pristine_.get());
   *tracked_ = std::move(working);
-  known_master_size_ = master_size;
   result.generation = ++generation_;
   result.refinement_rounds = 1;
   result.phases = std::move(executed).value();
@@ -297,10 +386,8 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
 }
 
 std::vector<std::string> Session::PhaseNames() const {
-  std::vector<std::string> names;
-  names.reserve(phases_.size());
-  for (const auto& phase : phases_) names.emplace_back(phase->name());
-  return names;
+  return engine_ != nullptr ? engine_->PhaseNames()
+                            : std::vector<std::string>();
 }
 
 }  // namespace uniclean

@@ -1,11 +1,11 @@
 // Session: the cheap, per-run handle of the engine/session split. A
 // CleanEngine (engine.h) owns everything immutable and expensive — rules,
-// master data, the warm core::MatchEnvironment and its memos — while a
-// Session carries only the per-run mutable state: the phase instances, the
-// progress callback, and (per Run call) the data relation being cleaned and
-// the journal being written. Sessions are move-only, cost a few phase
-// allocations to create, and hold their engine alive through a shared_ptr,
-// so the serving loop is:
+// master data, the warm core::MatchEnvironment and its memos, and the
+// selected phases — while a Session carries only the per-run mutable state:
+// the progress callback, the cancel token, and (per Run call) the data
+// relation being cleaned and the journal being written. Sessions are
+// move-only, cost one shared_ptr copy to create, and hold their engine alive
+// through it, so the serving loop is:
 //
 //   uniclean::Session session = engine->NewSession();
 //   auto result = session.Run(&batch);   // warm indexes, shared memos
@@ -21,9 +21,10 @@
 // latest run's journal. ApplyDelta(Delta) then folds a batch of
 // inserts/updates/deletes in: it stages the edits on a copy of the pristine
 // relation and re-runs the whole phase pipeline over it against the engine's
-// warm match environment — by construction the batch run over the edited
-// relation — and commits the result only if that run succeeds. The fixes of
-// the tuples the delta touched are journaled under a fresh generation:
+// warm match environment and unchanged master — by construction the batch
+// run over the edited relation — and commits the result only if that run
+// succeeds. The fixes of the tuples the delta touched are journaled under a
+// fresh generation:
 //
 //   uniclean::Session session = engine->NewTrackedSession();
 //   auto initial = session.Run(&d);              // generation 0
@@ -111,9 +112,9 @@ struct DeltaResult {
   int total_fixes() const;
 };
 
-/// A per-run cleaning handle obtained from CleanEngine::NewSession().
-/// Move-only. Holds its engine alive; owns its phase instances (created
-/// fresh per session, so stateful phases never race across sessions).
+/// A per-run cleaning handle obtained from CleanEngine::NewSession() or
+/// CleanEngine::NewTrackedSession(). Move-only. Holds its engine alive and
+/// runs the engine's selected phases.
 class Session {
  public:
   /// An empty session; Run() fails with FailedPrecondition until a real
@@ -131,31 +132,24 @@ class Session {
   /// called repeatedly, over the same or different relations; every call
   /// reuses the engine's warm indexes and memos.
   ///
-  /// On a tracked session (EnableDeltaTracking /
-  /// CleanEngine::NewTrackedSession) a Run additionally snapshots the
-  /// relation's pristine state and keeps the journal for ApplyDelta; the
-  /// relation must then outlive the session's delta use, and a repeated Run
-  /// restarts tracking from scratch (generation 0) on its relation.
+  /// On a tracked session (CleanEngine::NewTrackedSession) a Run
+  /// additionally snapshots the relation's pristine state and keeps the
+  /// journal for ApplyDelta; the relation must then outlive the session's
+  /// delta use, and a repeated Run restarts tracking from scratch
+  /// (generation 0) on its relation.
   Result<CleanResult> Run(data::Relation* data);
-
-  /// Arms delta tracking for the next Run (see ApplyDelta). Must be called
-  /// before Run; prefer CleanEngine::NewTrackedSession, which returns a
-  /// session with tracking already armed. Tracking costs one pristine clone
-  /// of the relation plus the journal.
-  void EnableDeltaTracking() { track_deltas_ = true; }
 
   /// Folds `delta` into the tracked relation: stages the edits on a copy of
   /// the pristine relation, re-runs the phase pipeline over all of it against
-  /// the warm match environment (which sees master data appended since the
-  /// last call — see CleanEngine::RefreshMasterIndexes), and on success
-  /// commits the repaired relation, the new pristine state and the journal.
+  /// the engine's warm match environment, and on success commits the
+  /// repaired relation, the new pristine state and the journal.
   /// The result is the batch run over the edited relation, so
   /// CanonicalJournal() then equals a batch run's, provenance included.
   /// Fails with FailedPrecondition before a tracked Run() and with
   /// InvalidArgument on bad edits (unknown or dead tuple ids, arity
   /// mismatches); on any failure, cancellation included, nothing is applied
-  /// and generation() does not change. An empty delta with no master growth
-  /// is a no-op.
+  /// and generation() does not change. An empty delta is a no-op: it
+  /// returns the current generation without running anything.
   Result<DeltaResult> ApplyDelta(const Delta& delta);
 
   /// The canonical journal of the latest Run or ApplyDelta (see
@@ -180,7 +174,9 @@ class Session {
 
   /// Arms cooperative cancellation for subsequent Run/ApplyDelta calls
   /// (null disarms). The token is polled at phase boundaries and, inside
-  /// the built-in phases, between committed fixes. Semantics when it trips:
+  /// the phases, between committed fixes; a trip inside a phase prefixes
+  /// the status with that phase's name ("phase 'cRepair': ..."). Semantics
+  /// when it trips:
   ///
   ///  * Run() becomes all-or-nothing: the pipeline executes over a scratch
   ///    copy that is swapped into the caller's relation only on success, so
@@ -206,16 +202,20 @@ class Session {
  private:
   friend class CleanEngine;
 
-  Session(std::shared_ptr<const CleanEngine> engine,
-          std::vector<std::unique_ptr<Phase>> phases)
-      : engine_(std::move(engine)), phases_(std::move(phases)) {}
+  explicit Session(std::shared_ptr<const CleanEngine> engine)
+      : engine_(std::move(engine)) {}
 
-  /// The shared pipeline executor behind Run and ApplyDelta.
+  /// Arms delta tracking for the next Run (see ApplyDelta); called by
+  /// CleanEngine::NewTrackedSession only. Tracking costs one pristine clone
+  /// of the relation plus the journal.
+  void EnableDeltaTracking() { track_deltas_ = true; }
+
+  /// The shared pipeline executor behind Run and ApplyDelta: the engine's
+  /// selected phases, in paper order.
   Result<std::vector<PhaseStats>> ExecutePipeline(data::Relation* data,
                                                   FixJournal* journal);
 
   std::shared_ptr<const CleanEngine> engine_;
-  std::vector<std::unique_ptr<Phase>> phases_;
   ProgressCallback progress_;
   std::shared_ptr<const common::CancelToken> cancel_;
 
@@ -226,7 +226,6 @@ class Session {
   FixJournal journal_;                        // all generations, append order
   FixJournal canonical_;                      // the latest run's, canonical
   int generation_ = 0;
-  int known_master_size_ = 0;  // master extent the latest run saw
 };
 
 }  // namespace uniclean

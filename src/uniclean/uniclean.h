@@ -25,11 +25,11 @@
 //
 // The engine is immutable and thread-safe, so any number of sessions may
 // run concurrently against its warm match environment. Incremental cleaning
-// rides on the same pair — a tracked session re-cleans only the tuples an
-// edit can affect:
+// rides on the same pair — a tracked session folds edits in by one warm
+// re-run of the edited relation:
 //
 //   Session session = (*engine)->NewTrackedSession();
-//   session.Run(&d);                           // batch clean + group indexes
+//   session.Run(&d);                           // batch clean + pristine copy
 //   Delta delta;
 //   delta.updates.emplace_back(tuple_id, edited_tuple);
 //   auto dr = session.ApplyDelta(delta);       // Result<DeltaResult>
@@ -71,7 +71,6 @@
 #include "similarity/metrics.h"
 #include "similarity/predicate.h"
 #include "similarity/suffix_tree.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 #include "uniclean/fix_journal.h"
 #include "uniclean/phase.h"

@@ -75,4 +75,43 @@ if(NOT EXISTS "${WORK_DIR}/repaired_delta.csv")
   message(FATAL_ERROR "uniclean_cli --delta did not write repaired_delta.csv:\n${delta_out}")
 endif()
 
+# Phase selection: the CLI prints the engine's own phase list and runs
+# exactly those phases, in paper order.
+execute_process(
+  COMMAND "${CLI}"
+    --data "${WORK_DIR}/dirty.csv"
+    --master "${WORK_DIR}/master.csv"
+    --rules "${WORK_DIR}/rules.txt"
+    --out "${WORK_DIR}/repaired_ce.csv"
+    --phases ce
+  RESULT_VARIABLE phases_rc
+  OUTPUT_VARIABLE phases_out
+  ERROR_VARIABLE phases_err
+)
+if(NOT phases_rc EQUAL 0)
+  message(FATAL_ERROR "uniclean_cli --phases ce failed (rc=${phases_rc}):\n${phases_out}\n${phases_err}")
+endif()
+if(NOT phases_out MATCHES "phases: cRepair, eRepair\n")
+  message(FATAL_ERROR "uniclean_cli --phases ce did not list cRepair, eRepair:\n${phases_out}")
+endif()
+if(NOT phases_out MATCHES "\\[2/2\\] eRepair:")
+  message(FATAL_ERROR "uniclean_cli --phases ce did not run eRepair as phase 2 of 2:\n${phases_out}")
+endif()
+
+# An unknown phase letter is a usage error, not a silent empty pipeline.
+execute_process(
+  COMMAND "${CLI}"
+    --data "${WORK_DIR}/dirty.csv"
+    --master "${WORK_DIR}/master.csv"
+    --rules "${WORK_DIR}/rules.txt"
+    --out "${WORK_DIR}/repaired_x.csv"
+    --phases x
+  RESULT_VARIABLE bad_phases_rc
+  OUTPUT_VARIABLE bad_phases_out
+  ERROR_VARIABLE bad_phases_err
+)
+if(bad_phases_rc EQUAL 0)
+  message(FATAL_ERROR "uniclean_cli --phases x exited 0:\n${bad_phases_out}\n${bad_phases_err}")
+endif()
+
 message(STATUS "cli_smoke_test OK: report has ${report_size} bytes")

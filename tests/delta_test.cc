@@ -3,8 +3,8 @@
 // and the same canonical fix set as one cold batch run over the final
 // relation — at |D| = 220 and at |D| = |Dm| = 1000, plus the edge cases
 // around it: batched edits, updates, deletes/tombstones, fresh violation
-// groups, master growth, no-op deltas, validation atomicity, cancellation
-// atomicity, and concurrent tracked sessions (the TSan target).
+// groups, no-op deltas, validation atomicity, cancellation atomicity, and
+// concurrent tracked sessions (the TSan target).
 
 #include <memory>
 #include <sstream>
@@ -20,7 +20,6 @@
 #include "data/relation.h"
 #include "data/value.h"
 #include "gen/dataset.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 #include "uniclean/session.h"
 
@@ -41,12 +40,10 @@ gen::Dataset MakeDataset(const std::string& name, uint64_t seed,
   return gen::GenerateTpch(config);
 }
 
-std::shared_ptr<CleanEngine> MakeEngine(const gen::Dataset& ds,
-                                        const data::Relation* master =
-                                            nullptr) {
+std::shared_ptr<CleanEngine> MakeEngine(const gen::Dataset& ds) {
   auto engine = EngineBuilder()
                     .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(master != nullptr ? master : &ds.master)
+                    .WithMaster(&ds.master)
                     .WithRules(&ds.rules)
                     .WithEta(1.0)
                     .BuildEngine();
@@ -175,8 +172,7 @@ void ExpectHosp1000StreamConverges(uint64_t seed, bool hrepair) {
                    .WithMaster(&ds.master)
                    .WithRules(&ds.rules)
                    .WithEta(1.0)
-                   .WithPhaseFactories(
-                       MakeDefaultPhaseFactories(true, true, hrepair))
+                   .WithDefaultPhases(true, true, hrepair)
                    .BuildEngine();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   std::shared_ptr<CleanEngine> engine = std::move(built).value();
@@ -309,45 +305,6 @@ TEST(DeltaTest, InsertIntoFreshViolationGroupStaysScoped) {
   data::Relation batch = ds.dirty.Clone();
   batch.AddTuple(alien);
   const std::string batch_csv = BatchFixSetCsv(engine, &batch);
-  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
-}
-
-// --- Master growth --------------------------------------------------------
-
-TEST(DeltaTest, MasterGrowthRecleansMatchingTuples) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/5);
-
-  // Start the engine on a prefix of the master; the held-out rows arrive
-  // later through the append-only growth path.
-  constexpr int kHeldMaster = 15;
-  data::Relation growing_master(ds.master.schema_ptr());
-  for (data::TupleId t = 0; t < ds.master.size() - kHeldMaster; ++t) {
-    growing_master.AddTuple(ds.master.tuple(t));
-  }
-  auto engine = MakeEngine(ds, &growing_master);
-
-  data::Relation incremental = ds.dirty.Clone();
-  Session session = engine->NewTrackedSession();
-  ASSERT_TRUE(session.Run(&incremental).ok());
-
-  for (data::TupleId t = ds.master.size() - kHeldMaster;
-       t < ds.master.size(); ++t) {
-    growing_master.AddTuple(ds.master.tuple(t));
-  }
-  const int appended = engine->RefreshMasterIndexes();
-  EXPECT_EQ(appended, kHeldMaster);
-
-  // An empty delta after master growth re-cleans exactly the tuples the
-  // new master rows can reach.
-  auto dr = session.ApplyDelta(Delta{});
-  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-  EXPECT_EQ(dr->generation, 1);
-
-  // Convergence reference: a fresh engine built over the grown master.
-  auto full_engine = MakeEngine(ds, &growing_master);
-  data::Relation batch = ds.dirty.Clone();
-  const std::string batch_csv = BatchFixSetCsv(full_engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
   EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
 }
@@ -671,6 +628,26 @@ TEST(CancellationTest, TrackedSessionUsableAfterCancelledRun) {
   ASSERT_TRUE(session.ApplyDelta(insert_last).ok());
   EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), ref_fixes);
   EXPECT_EQ(LiveCellDiff(relation, ref_relation), 0);
+}
+
+TEST(CancellationTest, CancelInsidePhaseNamesThePhase) {
+  // Poll 0 is the pipeline's own check before cRepair starts; the token
+  // trips on the next poll, inside cRepair, and the status names the phase
+  // the run stopped in.
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/7, /*num_tuples=*/120);
+  auto engine = MakeEngine(ds);
+  data::Relation working = ds.dirty.Clone();
+  auto token = std::make_shared<common::CancelToken>();
+  token->CancelAfterChecksForTest(1);
+  Session session = engine->NewSession();
+  session.set_cancel_token(token);
+  auto run = session.Run(&working);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
+  const std::string prefix = "phase '" + std::string(kCRepairPhase) + "': ";
+  EXPECT_EQ(run.status().message().rfind(prefix, 0), 0u)
+      << run.status().ToString();
+  EXPECT_EQ(RelationCsv(working), RelationCsv(ds.dirty));
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Tests for the library's public path: EngineBuilder validation, phase
-// pipeline execution through Session::Run, progress observation, fix
-// journaling, and parity with the direct core-phase sequence.
+// pipeline execution through Session::Run, phase selection, progress
+// observation, fix journaling, and parity with the direct core-phase
+// sequence.
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "data/csv.h"
 #include "gen/dataset.h"
 #include "paper_example.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
@@ -275,11 +275,11 @@ TEST(SessionPipelineTest, RunsPaperExampleAndJournalsEveryFix) {
   // Same repaired relation, and per-phase journal counts equal to the
   // engines' fix counts.
   EXPECT_EQ(d.CellDiffCount(reference), 0);
-  EXPECT_EQ(result->journal.CountForPhase(CRepairPhase::kName),
+  EXPECT_EQ(result->journal.CountForPhase(kCRepairPhase),
             cstats.deterministic_fixes);
-  EXPECT_EQ(result->journal.CountForPhase(ERepairPhase::kName),
+  EXPECT_EQ(result->journal.CountForPhase(kERepairPhase),
             estats.reliable_fixes);
-  EXPECT_EQ(result->journal.CountForPhase(HRepairPhase::kName),
+  EXPECT_EQ(result->journal.CountForPhase(kHRepairPhase),
             hstats.possible_fixes);
   EXPECT_EQ(result->total_fixes(), static_cast<int>(result->journal.size()));
   EXPECT_GT(result->journal.size(), 0u);
@@ -332,15 +332,15 @@ TEST(SessionPipelineTest, JournalPhaseCountsMatchCoreStatsOnHospSample) {
   auto result = BuildAndRun(std::move(builder), &d);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(result->journal.CountForPhase(CRepairPhase::kName),
+  EXPECT_EQ(result->journal.CountForPhase(kCRepairPhase),
             cstats.deterministic_fixes);
-  EXPECT_EQ(result->journal.CountForPhase(ERepairPhase::kName),
+  EXPECT_EQ(result->journal.CountForPhase(kERepairPhase),
             estats.reliable_fixes);
-  EXPECT_EQ(result->journal.CountForPhase(HRepairPhase::kName),
+  EXPECT_EQ(result->journal.CountForPhase(kHRepairPhase),
             hstats.possible_fixes);
-  const PhaseStats* crepair = result->phase(CRepairPhase::kName);
-  const PhaseStats* erepair = result->phase(ERepairPhase::kName);
-  const PhaseStats* hrepair = result->phase(HRepairPhase::kName);
+  const PhaseStats* crepair = result->phase(kCRepairPhase);
+  const PhaseStats* erepair = result->phase(kERepairPhase);
+  const PhaseStats* hrepair = result->phase(kHRepairPhase);
   ASSERT_NE(crepair, nullptr);
   ASSERT_NE(erepair, nullptr);
   ASSERT_NE(hrepair, nullptr);
@@ -361,17 +361,42 @@ TEST(SessionPipelineTest, RepairsTheCallersRelationInPlace) {
 }
 
 TEST(SessionPipelineTest, PhaseSubsetRunsOnlySelectedPhases) {
-  auto engine =
-      PaperBuilder().WithDefaultPhases(true, false, false).BuildEngine();
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ((*engine)->PhaseNames(), std::vector<std::string>{"cRepair"});
-  Relation d = uniclean::testing::TranDirty();
-  auto result = (*engine)->NewSession().Run(&d);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->phases.size(), 1u);
-  EXPECT_EQ(result->phases[0].phase, "cRepair");
-  EXPECT_EQ(result->journal.CountForPhase(ERepairPhase::kName), 0);
-  EXPECT_EQ(result->journal.CountForPhase(HRepairPhase::kName), 0);
+  // Every (c, e, h) selection, the empty one included: the engine and its
+  // sessions report exactly the selected phases in paper order, a run
+  // executes those and no others, and unselected phases journal nothing.
+  const std::string_view kPaperOrder[] = {kCRepairPhase, kERepairPhase,
+                                          kHRepairPhase};
+  for (int mask = 0; mask < 8; ++mask) {
+    const bool selected[] = {(mask & 1) != 0, (mask & 2) != 0,
+                             (mask & 4) != 0};
+    SCOPED_TRACE("c=" + std::to_string(selected[0]) +
+                 " e=" + std::to_string(selected[1]) +
+                 " h=" + std::to_string(selected[2]));
+    std::vector<std::string> expected;
+    for (int p = 0; p < 3; ++p) {
+      if (selected[p]) expected.emplace_back(kPaperOrder[p]);
+    }
+    auto engine = PaperBuilder()
+                      .WithDefaultPhases(selected[0], selected[1], selected[2])
+                      .BuildEngine();
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ((*engine)->PhaseNames(), expected);
+    Session session = (*engine)->NewSession();
+    EXPECT_EQ(session.PhaseNames(), expected);
+
+    Relation d = uniclean::testing::TranDirty();
+    auto result = session.Run(&d);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::string> ran;
+    for (const PhaseStats& stats : result->phases) ran.push_back(stats.phase);
+    EXPECT_EQ(ran, expected);
+    for (int p = 0; p < 3; ++p) {
+      if (!selected[p]) {
+        EXPECT_EQ(result->journal.CountForPhase(kPaperOrder[p]), 0)
+            << kPaperOrder[p];
+      }
+    }
+  }
 }
 
 TEST(SessionPipelineTest, ProgressCallbackSeesEveryPhaseInOrder) {
@@ -419,138 +444,6 @@ TEST(SessionPipelineTest, ProgressCallbackIsPerSession) {
   Relation d3 = uniclean::testing::TranDirty();
   ASSERT_TRUE(observed.Run(&d3).ok());
   EXPECT_EQ(events, 6);
-}
-
-// ---------------------------------------------------------------------------
-// Pluggable phases
-// ---------------------------------------------------------------------------
-
-/// A custom phase that uppercases one attribute and journals its writes.
-class UppercaseCityPhase : public Phase {
- public:
-  std::string_view name() const override { return "uppercaseCity"; }
-
-  Result<PhaseStats> Run(PipelineContext* ctx) override {
-    auto city = ctx->data->schema().FindAttribute("city");
-    if (!city.ok()) return city.status();
-    PhaseStats stats;
-    for (data::TupleId t = 0; t < ctx->data->size(); ++t) {
-      const Value& old_value = ctx->data->tuple(t).value(*city);
-      if (old_value.is_null()) continue;
-      std::string upper = old_value.str();
-      for (char& c : upper) c = static_cast<char>(std::toupper(c));
-      if (upper == old_value.str()) continue;
-      FixEntry fix;
-      fix.tuple = t;
-      fix.attr = *city;
-      fix.attribute = "city";
-      fix.old_value = old_value;
-      fix.new_value = Value(upper);
-      fix.phase = std::string(name());
-      ctx->journal->Append(fix);
-      ctx->data->mutable_tuple(t).set_value(*city, Value(upper));
-      ++stats.fixes;
-    }
-    return stats;
-  }
-};
-
-/// A phase that always fails, to exercise Status propagation.
-class FailingPhase : public Phase {
- public:
-  std::string_view name() const override { return "failing"; }
-  Result<PhaseStats> Run(PipelineContext*) override {
-    return Status::Unimplemented("not today");
-  }
-};
-
-/// A phase that counts its own Run calls in instance state.
-class RunCountingPhase : public Phase {
- public:
-  std::string_view name() const override { return "runCounter"; }
-  Result<PhaseStats> Run(PipelineContext*) override {
-    PhaseStats stats;
-    stats.counters = {{"runs", ++runs_}};
-    return stats;
-  }
-
- private:
-  int runs_ = 0;
-};
-
-template <typename P>
-PhaseFactory FactoryOf() {
-  return [] { return std::make_unique<P>(); };
-}
-
-TEST(SessionPipelineTest, CustomPhaseAppendsAfterDefaults) {
-  auto engine = PaperBuilder()
-                    .AddPhaseFactory(FactoryOf<UppercaseCityPhase>())
-                    .BuildEngine();
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ((*engine)->PhaseNames(),
-            (std::vector<std::string>{"cRepair", "eRepair", "hRepair",
-                                      "uppercaseCity"}));
-  Relation d = uniclean::testing::TranDirty();
-  auto result = (*engine)->NewSession().Run(&d);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const PhaseStats* custom = result->phase("uppercaseCity");
-  ASSERT_NE(custom, nullptr);
-  EXPECT_GT(custom->fixes, 0);
-  EXPECT_EQ(result->journal.CountForPhase("uppercaseCity"), custom->fixes);
-  data::AttributeId city = d.schema().MustFindAttribute("city");
-  EXPECT_EQ(d.tuple(0).value(city), Value("EDI"));
-}
-
-TEST(SessionPipelineTest, CustomPipelineReplacesDefaults) {
-  auto engine = PaperBuilder()
-                    .WithPhaseFactories({FactoryOf<UppercaseCityPhase>()})
-                    .BuildEngine();
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ((*engine)->PhaseNames(),
-            std::vector<std::string>{"uppercaseCity"});
-  Relation d = uniclean::testing::TranDirty();
-  auto result = (*engine)->NewSession().Run(&d);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->phases.size(), 1u);
-}
-
-TEST(SessionPipelineTest, SessionsOwnTheirPhaseInstances) {
-  // Each session gets fresh phase instances from the engine's factories,
-  // so per-phase state persists across one session's runs (and moves with
-  // it) but is never shared with a sibling session.
-  auto engine = PaperBuilder()
-                    .WithPhaseFactories({FactoryOf<RunCountingPhase>()})
-                    .BuildEngine();
-  ASSERT_TRUE(engine.ok());
-  auto runs_seen = [](Session* session) -> int64_t {
-    Relation d = uniclean::testing::TranDirty();
-    auto result = session->Run(&d);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    if (!result.ok() || result->phase("runCounter") == nullptr) return -1;
-    return result->phase("runCounter")->counter("runs");
-  };
-  Session first = (*engine)->NewSession();
-  Session second = (*engine)->NewSession();
-  EXPECT_EQ(runs_seen(&first), 1);
-  EXPECT_EQ(runs_seen(&first), 2);
-  EXPECT_EQ(runs_seen(&second), 1);
-  Session moved = std::move(first);
-  EXPECT_EQ(runs_seen(&moved), 3);
-}
-
-TEST(SessionPipelineTest, FailingPhaseAbortsAndAnnotatesStatus) {
-  auto engine = PaperBuilder()
-                    .WithPhaseFactories({FactoryOf<CRepairPhase>(),
-                                         FactoryOf<FailingPhase>(),
-                                         FactoryOf<HRepairPhase>()})
-                    .BuildEngine();
-  ASSERT_TRUE(engine.ok());
-  Relation d = uniclean::testing::TranDirty();
-  auto result = (*engine)->NewSession().Run(&d);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
-  EXPECT_NE(result.status().message().find("failing"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

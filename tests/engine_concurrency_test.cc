@@ -27,7 +27,6 @@
 #include "core/hrepair.h"
 #include "data/string_pool.h"
 #include "gen/dataset.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
@@ -311,7 +310,7 @@ TEST(MemoCapTest, CapHoldsUnderConcurrentAdmission) {
 TEST(MemoCapTest, CappedMatchesReferencesSurviveProbingOtherMatchers) {
   // Past the cap, Matches() hands out per-(thread, matcher) scratch: the
   // reference must stay intact while the same thread probes a *different*
-  // matcher (user phases iterate all MD rules this way).
+  // matcher (callers iterating all MD rules rely on this).
   gen::Dataset ds = MakeDataset("HOSP", /*seed=*/67);
   core::MdMatcherOptions options;
   options.memo_capacity = 1;  // everything after the first entry is refused
@@ -363,16 +362,15 @@ TEST(EngineBuilderTest, RuleTextWithoutSchemaFailsEngineBuild) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineBuilderTest, PhaseFactoriesDriveEngineSessions) {
+TEST(EngineBuilderTest, PhaseSubsetDrivesEngineSessions) {
   gen::Dataset ds = MakeDataset("HOSP", /*seed=*/59);
   auto engine = EngineBuilder()
                     .WithDataSchema(ds.dirty.schema_ptr())
                     .WithMaster(&ds.master)
                     .WithRules(&ds.rules)
                     .WithEta(1.0)
-                    .WithPhaseFactories(MakeDefaultPhaseFactories(
-                        /*crepair=*/true, /*erepair=*/false,
-                        /*hrepair=*/false))
+                    .WithDefaultPhases(/*crepair=*/true, /*erepair=*/false,
+                                       /*hrepair=*/false)
                     .BuildEngine();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ((*engine)->PhaseNames(), std::vector<std::string>{"cRepair"});

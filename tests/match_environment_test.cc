@@ -23,7 +23,6 @@
 #include "core/match_environment.h"
 #include "core/md_matcher.h"
 #include "gen/dataset.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
@@ -115,7 +114,7 @@ TEST_P(MatchEnvironmentParity, SharedEnvironmentMatchesPerPhaseBaseline) {
     core::CRepairOptions copts;
     copts.eta = eta;
     copts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
-                              CRepairPhase::kName);
+                              kCRepairPhase);
     core::CRepair(&baseline_data, env, copts);
   }
   {
@@ -123,14 +122,14 @@ TEST_P(MatchEnvironmentParity, SharedEnvironmentMatchesPerPhaseBaseline) {
     core::ERepairOptions eopts;
     eopts.eta = eta;
     eopts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
-                              ERepairPhase::kName);
+                              kERepairPhase);
     core::ERepair(&baseline_data, env, eopts);
   }
   {
     core::MatchEnvironment env(ds.rules, ds.master);
     core::HRepairOptions hopts;
     hopts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
-                              HRepairPhase::kName);
+                              kHRepairPhase);
     core::HRepair(&baseline_data, env, hopts);
   }
   Outcome baseline = Materialize(baseline_journal, baseline_data);

@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "uniclean/uniclean.h"
@@ -105,18 +106,6 @@ bool ParsePhases(const char* v, CliOptions* opts) {
     }
   }
   return true;
-}
-
-std::string PhaseSetToString(const CliOptions& opts) {
-  std::string out;
-  auto add = [&out](const char* name) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  };
-  if (opts.run_c) add("cRepair");
-  if (opts.run_e) add("eRepair");
-  if (opts.run_h) add("hRepair");
-  return out.empty() ? "(none)" : out;
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* opts) {
@@ -237,7 +226,9 @@ int Run(const CliOptions& opts) {
               (*engine)->rules().cfds().size(),
               (*engine)->rules().mds().size());
   if (opts.check_consistency) std::printf("rules are consistent\n");
-  std::printf("phases: %s\n", PhaseSetToString(opts).c_str());
+  const std::vector<std::string> phases = (*engine)->PhaseNames();
+  std::printf("phases: %s\n",
+              phases.empty() ? "(none)" : Join(phases, ", ").c_str());
 
   // Warm the engine's match environment up front so the index-build cost
   // is reported separately from the repair itself (the same split the
@@ -246,8 +237,9 @@ int Run(const CliOptions& opts) {
   auto t0 = Clock::now();
   (*engine)->Warmup();
   auto t1 = Clock::now();
-  // A tracked session keeps the violation-group indexes the incremental
-  // path needs; without --delta the plain session skips that bookkeeping.
+  // A tracked session keeps a pristine clone of the relation and the
+  // journal, which ApplyDelta re-runs from; without --delta the plain
+  // session skips that copy.
   Session session = opts.delta_path.empty() ? (*engine)->NewSession()
                                             : (*engine)->NewTrackedSession();
   session.set_progress_callback([](const PhaseEvent& event) {
@@ -318,7 +310,7 @@ int Run(const CliOptions& opts) {
         static_cast<unsigned long long>(stats.evictions),
         opts.memo_cap > 0 ? " (capped)" : "");
   }
-  if (const PhaseStats* h = result->phase(HRepairPhase::kName)) {
+  if (const PhaseStats* h = result->phase(kHRepairPhase)) {
     int64_t anomalies = h->counter("anomalies");
     if (anomalies > 0) {
       std::fprintf(stderr,
