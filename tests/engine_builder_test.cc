@@ -360,44 +360,54 @@ TEST(SessionPipelineTest, RepairsTheCallersRelationInPlace) {
   EXPECT_EQ(d.tuple(0).value(city), Value("Edi"));
 }
 
-TEST(SessionPipelineTest, PhaseSubsetRunsOnlySelectedPhases) {
-  // Every (c, e, h) selection, the empty one included: the engine and its
-  // sessions report exactly the selected phases in paper order, a run
-  // executes those and no others, and unselected phases journal nothing.
+/// One (c, e, h) phase selection per instance, the empty one included:
+/// bit 0 selects cRepair, bit 1 eRepair, bit 2 hRepair.
+class PhaseSubsetTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PhaseSubsetTest, RunsOnlySelectedPhases) {
+  // The engine and its sessions report exactly the selected phases in paper
+  // order, a run executes those and no others, and unselected phases journal
+  // nothing.
   const std::string_view kPaperOrder[] = {kCRepairPhase, kERepairPhase,
                                           kHRepairPhase};
-  for (int mask = 0; mask < 8; ++mask) {
-    const bool selected[] = {(mask & 1) != 0, (mask & 2) != 0,
-                             (mask & 4) != 0};
-    SCOPED_TRACE("c=" + std::to_string(selected[0]) +
-                 " e=" + std::to_string(selected[1]) +
-                 " h=" + std::to_string(selected[2]));
-    std::vector<std::string> expected;
-    for (int p = 0; p < 3; ++p) {
-      if (selected[p]) expected.emplace_back(kPaperOrder[p]);
-    }
-    auto engine = PaperBuilder()
-                      .WithDefaultPhases(selected[0], selected[1], selected[2])
-                      .BuildEngine();
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    EXPECT_EQ((*engine)->PhaseNames(), expected);
-    Session session = (*engine)->NewSession();
-    EXPECT_EQ(session.PhaseNames(), expected);
+  const int mask = GetParam();
+  const bool selected[] = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+  std::vector<std::string> expected;
+  for (int p = 0; p < 3; ++p) {
+    if (selected[p]) expected.emplace_back(kPaperOrder[p]);
+  }
+  auto engine = PaperBuilder()
+                    .WithDefaultPhases(selected[0], selected[1], selected[2])
+                    .BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ((*engine)->PhaseNames(), expected);
+  Session session = (*engine)->NewSession();
+  EXPECT_EQ(session.PhaseNames(), expected);
 
-    Relation d = uniclean::testing::TranDirty();
-    auto result = session.Run(&d);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::vector<std::string> ran;
-    for (const PhaseStats& stats : result->phases) ran.push_back(stats.phase);
-    EXPECT_EQ(ran, expected);
-    for (int p = 0; p < 3; ++p) {
-      if (!selected[p]) {
-        EXPECT_EQ(result->journal.CountForPhase(kPaperOrder[p]), 0)
-            << kPaperOrder[p];
-      }
+  Relation d = uniclean::testing::TranDirty();
+  auto result = session.Run(&d);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::string> ran;
+  for (const PhaseStats& stats : result->phases) ran.push_back(stats.phase);
+  EXPECT_EQ(ran, expected);
+  for (int p = 0; p < 3; ++p) {
+    if (!selected[p]) {
+      EXPECT_EQ(result->journal.CountForPhase(kPaperOrder[p]), 0)
+          << kPaperOrder[p];
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSubsets, PhaseSubsetTest, ::testing::Range(0, 8),
+    [](const ::testing::TestParamInfo<int>& info) {
+      // The CLI's --phases spelling of the subset; "none" for the empty one.
+      std::string name;
+      if ((info.param & 1) != 0) name += 'c';
+      if ((info.param & 2) != 0) name += 'e';
+      if ((info.param & 4) != 0) name += 'h';
+      return name.empty() ? std::string("none") : name;
+    });
 
 TEST(SessionPipelineTest, ProgressCallbackSeesEveryPhaseInOrder) {
   auto engine = PaperBuilder().BuildEngine();
